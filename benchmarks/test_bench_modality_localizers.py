@@ -30,14 +30,21 @@ from repro.types import PAPER_REGION
 #: Nodes localized per comparison (a training-pass-sized batch).
 NUM_NODES = 512
 
+#: Timed rounds per side.  The two sides alternate round by round, so a
+#: stall of the host lands on both of them, not on one side's best-of.
+ROUNDS = 5
 
-def _best_of(callable_, rounds):
-    best, result = np.inf, None
+
+def _best_alternating(*callables, rounds=ROUNDS):
+    """Best wall time and last result of each callable, run in alternation."""
+    best = [np.inf] * len(callables)
+    results = [None] * len(callables)
     for _ in range(rounds):
-        start = time.perf_counter()
-        result = callable_()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        for side, callable_ in enumerate(callables):
+            start = time.perf_counter()
+            results[side] = callable_()
+            best[side] = min(best[side], time.perf_counter() - start)
+    return best, results
 
 
 @pytest.fixture(scope="module")
@@ -62,11 +69,9 @@ def _bench_scheme(name, localizer, positions, noise_std):
     localizer.localize_many(contexts[:4])
     [localizer.localize(ctx) for ctx in contexts[:4]]
 
-    loop_time, looped = _best_of(
-        lambda: [localizer.localize(ctx) for ctx in contexts], rounds=2
-    )
-    batch_time, batched = _best_of(
-        lambda: localizer.localize_many(contexts), rounds=3
+    (loop_time, batch_time), (looped, batched) = _best_alternating(
+        lambda: [localizer.localize(ctx) for ctx in contexts],
+        lambda: localizer.localize_many(contexts),
     )
 
     np.testing.assert_array_equal(

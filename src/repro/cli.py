@@ -754,7 +754,7 @@ def _parse_shard(text: Optional[str]):
     return index, count
 
 
-def _sweep_status(spec, store, points, densities, localizers) -> int:
+def _sweep_status(spec, store, points) -> int:
     """The ``sweep --status`` mode: manifest-backed progress, no compute.
 
     One manifest read per (density, localizer) session — no ``.npz`` is
@@ -763,20 +763,16 @@ def _sweep_status(spec, store, points, densities, localizers) -> int:
     effect, so a deleted artifact shows up as pending immediately.
     """
     total_done = total_points = total_healed = 0
-    for localizer in localizers:
-        for group_size in densities:
-            session = spec.session(
-                group_size=group_size, localizer=localizer, store=store
-            )
-            progress = session.sweep().progress(points)
-            healed = f", {progress.healed} healed" if progress.healed else ""
-            print(
-                f"status m={group_size} localizer={localizer}: "
-                f"{progress.done}/{progress.total} point(s) done{healed}"
-            )
-            total_done += progress.done
-            total_points += progress.total
-            total_healed += progress.healed
+    for localizer, group_size, session in spec.sessions(store=store):
+        progress = session.sweep().progress(points)
+        healed = f", {progress.healed} healed" if progress.healed else ""
+        print(
+            f"status m={group_size} localizer={localizer}: "
+            f"{progress.done}/{progress.total} point(s) done{healed}"
+        )
+        total_done += progress.done
+        total_points += progress.total
+        total_healed += progress.healed
     suffix = (
         f" ({total_healed} stale manifest entr"
         f"{'y' if total_healed == 1 else 'ies'} healed)"
@@ -869,7 +865,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{len(spec.timeline.events)} event source(s)"
         )
     if args.status:
-        return _sweep_status(spec, store, points, densities, localizers)
+        return _sweep_status(spec, store, points)
     header = (
         f"{'m':>6} {'localizer':>10} {'metric':>12} {'attack':>12} "
         f"{'D':>8} {'x':>6} {'DR':>8} {'threshold':>10}"
@@ -885,84 +881,78 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rows = []
         temporal_rows = []
         done = 0
-        for localizer in localizers:
-            for group_size in densities:
-                session = spec.session(
-                    group_size=group_size, localizer=localizer, store=store
+        for localizer, group_size, session in spec.sessions(store=store):
+            runner = session.sweep(workers=args.workers)
+            for point, outcome in runner.iter_detection_rates(
+                points,
+                false_positive_rate=spec.false_positive_rate,
+                shard=shard_arg,
+            ):
+                done += 1
+                print(
+                    f"{group_size:>6} {localizer:>10} "
+                    f"{point.metric:>12} {point.attack:>12} "
+                    f"{point.degree_of_damage:>8g} "
+                    f"{point.compromised_fraction:>6g} "
+                    f"{outcome.detection_rate:>8.3f} "
+                    f"{outcome.threshold:>10.2f}"
+                    f"    [{done}/{total}]",
+                    flush=True,
                 )
-                runner = session.sweep(workers=args.workers)
-                for point, outcome in runner.iter_detection_rates(
-                    points,
-                    false_positive_rate=spec.false_positive_rate,
-                    shard=shard_arg,
-                ):
-                    done += 1
-                    print(
-                        f"{group_size:>6} {localizer:>10} "
-                        f"{point.metric:>12} {point.attack:>12} "
-                        f"{point.degree_of_damage:>8g} "
-                        f"{point.compromised_fraction:>6g} "
-                        f"{outcome.detection_rate:>8.3f} "
-                        f"{outcome.threshold:>10.2f}"
-                        f"    [{done}/{total}]",
-                        flush=True,
-                    )
-                    rows.append(
-                        {
-                            "group_size": int(group_size),
-                            "localizer": localizer,
-                            "metric": point.metric,
-                            "attack": point.attack,
-                            "degree_of_damage": point.degree_of_damage,
-                            "compromised_fraction": point.compromised_fraction,
-                            "detection_rate": outcome.detection_rate,
-                            "threshold": outcome.threshold,
-                        }
-                    )
-                if spec.timeline is None:
-                    continue
-                # The spec carries a [timeline]: re-run every point through
-                # the discrete-event engine and report the online metric
-                # family.
-                temporal = session.temporal(spec.timeline, workers=args.workers)
-                for point, outcome in temporal.iter_outcomes(
-                    slice_points, false_positive_rate=spec.false_positive_rate
-                ):
-                    latency = outcome.detection_latency
-                    first_fp = outcome.first_false_positive
-                    print(
-                        f"{group_size:>6} {localizer:>10} "
-                        f"{point.metric:>12} {point.attack:>12} "
-                        f"{point.degree_of_damage:>8g} "
-                        f"{point.compromised_fraction:>6g} "
-                        f"latency={'-' if latency is None else latency} "
-                        f"first_fp={'-' if first_fp is None else first_fp} "
-                        f"drift={outcome.detection_drift:+.3f}",
-                        flush=True,
-                    )
-                    temporal_rows.append(
-                        {
-                            "group_size": int(group_size),
-                            "localizer": localizer,
-                            "metric": point.metric,
-                            "attack": point.attack,
-                            "degree_of_damage": point.degree_of_damage,
-                            "compromised_fraction": point.compromised_fraction,
-                            "detection_latency": latency,
-                            "detection_time": outcome.detection_time,
-                            "first_false_positive": first_fp,
-                            "detection_drift": outcome.detection_drift,
-                            "threshold": outcome.threshold,
-                            "detection_rates": [
-                                float(rate)
-                                for rate in outcome.detection_rates()
-                            ],
-                            "delivery_rates": [
-                                float(rate)
-                                for rate in outcome.delivery_rates()
-                            ],
-                        }
-                    )
+                rows.append(
+                    {
+                        "group_size": int(group_size),
+                        "localizer": localizer,
+                        "metric": point.metric,
+                        "attack": point.attack,
+                        "degree_of_damage": point.degree_of_damage,
+                        "compromised_fraction": point.compromised_fraction,
+                        "detection_rate": outcome.detection_rate,
+                        "threshold": outcome.threshold,
+                    }
+                )
+            if spec.timeline is None:
+                continue
+            # The spec carries a [timeline]: re-run every point through
+            # the discrete-event engine and report the online metric
+            # family.
+            temporal = session.temporal(spec.timeline, workers=args.workers)
+            for point, outcome in temporal.iter_outcomes(
+                slice_points, false_positive_rate=spec.false_positive_rate
+            ):
+                latency = outcome.detection_latency
+                first_fp = outcome.first_false_positive
+                print(
+                    f"{group_size:>6} {localizer:>10} "
+                    f"{point.metric:>12} {point.attack:>12} "
+                    f"{point.degree_of_damage:>8g} "
+                    f"{point.compromised_fraction:>6g} "
+                    f"latency={'-' if latency is None else latency} "
+                    f"first_fp={'-' if first_fp is None else first_fp} "
+                    f"drift={outcome.detection_drift:+.3f}",
+                    flush=True,
+                )
+                temporal_rows.append(
+                    {
+                        "group_size": int(group_size),
+                        "localizer": localizer,
+                        "metric": point.metric,
+                        "attack": point.attack,
+                        "degree_of_damage": point.degree_of_damage,
+                        "compromised_fraction": point.compromised_fraction,
+                        "detection_latency": latency,
+                        "detection_time": outcome.detection_time,
+                        "first_false_positive": first_fp,
+                        "detection_drift": outcome.detection_drift,
+                        "threshold": outcome.threshold,
+                        "detection_rates": [
+                            float(rate) for rate in outcome.detection_rates()
+                        ],
+                        "delivery_rates": [
+                            float(rate) for rate in outcome.delivery_rates()
+                        ],
+                    }
+                )
         return rows, temporal_rows
 
     rows, temporal_rows = run_pass(shard)
@@ -973,13 +963,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # run); otherwise report this slice and leave aggregation to
         # whichever shard completes the grid.
         index, count = shard
-        grid_keys = []
-        for localizer in localizers:
-            for group_size in densities:
-                session = spec.session(
-                    group_size=group_size, localizer=localizer, store=store
-                )
-                grid_keys.extend(session.attacked_scores_keys(points))
+        grid_keys = [
+            key
+            for _, _, session in spec.sessions(store=store)
+            for key in session.attacked_scores_keys(points)
+        ]
         present = sum(
             1 for key in grid_keys if store.contains("attacked_scores", key)
         )

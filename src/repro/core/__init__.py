@@ -3,7 +3,7 @@
 The pipeline is:
 
 1. compute the expected observation ``µ`` at the estimated location
-   (:mod:`repro.core.expected`);
+   (:meth:`repro.deployment.knowledge.DeploymentKnowledge.expected_observation`);
 2. score the inconsistency between the actual observation ``o`` and ``µ``
    with one of the three metrics (:mod:`repro.core.metrics`);
 3. compare the score against a threshold trained on benign deployments
@@ -16,7 +16,6 @@ evaluation machinery (ROC curves, detection rate / false-positive rate under
 the attack models of Section 6) used by the figure-reproduction benchmarks.
 """
 
-from repro.core.expected import expected_observation, membership_probabilities
 from repro.core.metrics import (
     AnomalyMetric,
     DiffMetric,
@@ -40,8 +39,6 @@ from repro.core.evaluation import (
 )
 
 __all__ = [
-    "expected_observation",
-    "membership_probabilities",
     "AnomalyMetric",
     "DiffMetric",
     "AddAllMetric",

@@ -97,7 +97,7 @@ def collect_training_data(
     beacons: Optional[BeaconInfrastructure] = None,
     beacon_noise_std: float = 0.0,
     rng=None,
-    backend=None,
+    knowledge: Optional[DeploymentKnowledge] = None,
 ) -> TrainingData:
     """Simulate deployments and collect benign training samples.
 
@@ -125,10 +125,11 @@ def collect_training_data(
         range-based schemes.
     rng:
         Seed or generator.
-    backend:
-        Array backend running the training pass' likelihood kernels
-        (``None`` = the numpy reference); forwarded to the knowledge this
-        pass builds.
+    knowledge:
+        The deployment knowledge (``g(z)`` table, backend) the localizer
+        estimates against.  Pass the knowledge that will score the
+        thresholds' claims, so training and scoring share one table;
+        ``None`` builds the generator's default knowledge.
     """
     check_int("num_samples", num_samples, minimum=1)
     check_int("samples_per_network", samples_per_network, minimum=1)
@@ -139,7 +140,8 @@ def collect_training_data(
             f"the {localizer.name!r} scheme is beacon-based: pass a "
             "BeaconInfrastructure (or configure a BeaconSpec on the session)"
         )
-    knowledge = generator.knowledge(backend=backend)
+    if knowledge is None:
+        knowledge = generator.knowledge()
 
     observations = []
     actual = []

@@ -39,8 +39,7 @@ Determinism contract (the same one the sweep honours):
 from __future__ import annotations
 
 import json
-import warnings
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from typing import (
@@ -55,12 +54,12 @@ from typing import (
 
 import numpy as np
 
-from repro.core.evaluation import attack_observations
+from repro.core.evaluation import attacked_scores_from_observations
 from repro.core.metrics import resolve_metric
 from repro.core.verdict import Verdict, verdicts_from_scores
 from repro.events.engine import EventEngine
 from repro.events.timeline import TimelineSpec
-from repro.experiments.sweep import FAN_OUT_ERRORS, LocalizerModalities, SweepPoint
+from repro.experiments.sweep import LocalizerModalities, SweepPoint, fan_out
 from repro.network.neighbors import NeighborIndex
 from repro.utils.rng import RandomState
 
@@ -298,10 +297,10 @@ def _simulate_point(
     parallel and serial runs are bit-identical by construction.
 
     Degeneracy: with an empty timeline the single epoch scores all victims
-    through :func:`attack_observations` + ``metric.compute`` under the
-    point's own stream — the exact call sequence of
-    :meth:`LadSession._compute_attacked_scores` — so the temporal engine
-    reproduces the static attacked scores bit for bit.
+    through :func:`attacked_scores_from_observations` under the point's own
+    stream — the exact call of :meth:`LadSession._compute_attacked_scores`
+    — so the temporal engine reproduces the static attacked scores bit for
+    bit.
     """
     world = world_base.copy()
     metric = resolve_metric(point.metric)
@@ -357,8 +356,7 @@ def _simulate_point(
             # stream, recreated every epoch: the draws never depend on the
             # attacked mask, and epoch 0 of an empty timeline replays
             # LadSession._compute_attacked_scores exactly.
-            rng_attack = RandomState(seed).stream(point.stream_name())
-            tainted, _spoofed, expected = attack_observations(
+            attack_scores = attacked_scores_from_observations(
                 knowledge,
                 observations,
                 actual,
@@ -366,14 +364,8 @@ def _simulate_point(
                 attack_class=point.attack,
                 degree_of_damage=point.degree_of_damage,
                 compromised_fraction=point.compromised_fraction,
-                rng=rng_attack,
+                rng=RandomState(seed).stream(point.stream_name()),
                 localizer=localizer,
-            )
-            attack_scores = np.asarray(
-                metric.compute(
-                    tainted, expected, group_size=knowledge.group_size
-                ),
-                dtype=np.float64,
             )
             scores[epoch, attack_rows] = attack_scores[attack_rows]
 
@@ -775,14 +767,7 @@ class TemporalRunner:
                 if arrays is None:
                     # Vanished or corrupt since the probe (quarantined by
                     # the failed load): recompute this point inline.
-                    arrays = _simulate_point(
-                        self._base_world(),
-                        session.knowledge,
-                        session.config.seed,
-                        self._timeline,
-                        point,
-                        localizer=self._localizer_view(),
-                    )
+                    arrays = self._simulate(point)
                 if store is not None and keys[i] is not None:
                     store.save(
                         "temporal",
@@ -800,51 +785,42 @@ class TemporalRunner:
                 false_positive_rate=false_positive_rate,
             )
 
-    def _iter_cold(self, points: List[SweepPoint]) -> Iterator[Dict[str, np.ndarray]]:
-        """Simulate store-missing points in grid order (pool or serial)."""
-        yielded = 0
-        if self._workers > 1 and points:
-            try:
-                for record in self._iter_parallel(points):
-                    yield record
-                    yielded += 1
-            except FAN_OUT_ERRORS as exc:
-                warnings.warn(
-                    f"parallel temporal run unavailable on this platform "
-                    f"({exc!r}); falling back to the serial path",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        for point in points[yielded:]:
-            yield _simulate_point(
-                self._base_world(),
-                self._session.knowledge,
-                self._session.config.seed,
-                self._timeline,
-                point,
-                localizer=self._localizer_view(),
-            )
+    def _simulate(self, point: SweepPoint) -> Dict[str, np.ndarray]:
+        """Simulate one point in-process."""
+        return _simulate_point(
+            self._base_world(),
+            self._session.knowledge,
+            self._session.config.seed,
+            self._timeline,
+            point,
+            localizer=self._localizer_view(),
+        )
 
-    def _iter_parallel(
-        self, points: List[SweepPoint]
-    ) -> Iterator[Dict[str, np.ndarray]]:
-        """Fan the points over a pool sharing the picklable session state."""
+    def _iter_cold(self, points: List[SweepPoint]) -> Iterator[Dict[str, np.ndarray]]:
+        """Simulate store-missing points in grid order (pool or serial).
+
+        Pool workers share the picklable session state and rebuild the
+        base world once each.
+        """
         session = self._session
-        payload = {
-            "generator": session.generator,
-            "knowledge": session.knowledge,
-            "seed": session.config.seed,
-            "num_victims": session.config.num_victims,
-            "victims_per_network": session.config.victims_per_network,
-            "timeline": self._timeline,
-            "localizer_view": self._localizer_view(),
-        }
-        with ProcessPoolExecutor(
-            max_workers=self._workers,
+        return fan_out(
+            _simulate_point_worker,
+            points,
+            self._workers,
+            serial=self._simulate,
             initializer=_init_temporal_worker,
-            initargs=(payload,),
-        ) as pool:
-            yield from pool.map(_simulate_point_worker, points)
+            worker_state=lambda: nullcontext(
+                {
+                    "generator": session.generator,
+                    "knowledge": session.knowledge,
+                    "seed": session.config.seed,
+                    "num_victims": session.config.num_victims,
+                    "victims_per_network": session.config.victims_per_network,
+                    "timeline": self._timeline,
+                    "localizer_view": self._localizer_view(),
+                }
+            ),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -14,14 +14,20 @@ benchmarks use a small scale; the defaults approximate the paper's
 statistical quality).
 
 Use :func:`get_figure` / :func:`run_figure` to look figures up by id
-(``"fig4"`` … ``"fig9"``, plus ``"figl"`` — this reproduction's own
-cross-localizer comparison — ``"figm"`` — the localizer × attack
-robustness matrix — and ``"figt"`` — the temporal
-delivery/detection-rate-over-time figure); :data:`FIGURE_SPECS` maps ids to their spec
-builders (e.g. to write them out as TOML files for ``lad-repro sweep``)
-and :data:`FIGURE_RENDERERS` to their ``render(spec, ...)`` functions —
+(``"fig4"`` … ``"fig9"``, plus ``"figm"`` — the localizer × attack
+robustness matrix — ``"figl"`` — this reproduction's cross-localizer
+comparison, the figm preset :data:`figm.FIGL` exposed here as ``figl`` —
+and ``"figt"`` — the temporal delivery/detection-rate-over-time figure);
+:data:`FIGURE_SPECS` maps ids to their spec builders (e.g. to write them
+out as TOML files for ``lad-repro sweep``) and :data:`FIGURE_RENDERERS`
+to their ``render(spec, ...)`` functions —
 :func:`repro.experiments.figures.common.run_figure_spec` (the engine
 behind ``lad-repro sweep --figures``) dispatches through the latter.
+
+Figures spanning several training sessions — Figure 9's densities and
+the localizer axis of figures L and M — score them through
+:func:`repro.experiments.figures.common.session_rates`, whose
+``density_workers`` fans the sessions over worker processes.
 """
 
 from __future__ import annotations
@@ -35,11 +41,11 @@ from repro.experiments.figures import (
     fig7,
     fig8,
     fig9,
-    figl,
     figm,
     figt,
 )
 from repro.experiments.figures.common import run_figure_spec
+from repro.experiments.figures.figm import FIGL as figl
 from repro.experiments.results import FigureResult
 from repro.experiments.scenario import ScenarioSpec
 

@@ -9,44 +9,34 @@ spec's grid through a :class:`~repro.experiments.session.LadSession` /
 :class:`~repro.experiments.sweep.SweepRunner` and fold the scored points
 into :class:`~repro.experiments.results.FigureResult` containers, so the
 per-figure modules reduce to a spec builder plus one render call.
+Figures spanning several sessions (Figure 9's densities, the localizer
+matrix of figures L and M) score them through :func:`session_rates`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
+from repro.core.evaluation import DetectionOutcome
 from repro.core.roc import RocCurve
 from repro.experiments.config import SimulationConfig
 from repro.experiments.results import FigureResult, PanelResult, SeriesResult
 from repro.experiments.scenario import ScenarioSpec
 from repro.experiments.session import LadSession
 from repro.experiments.store import ArtifactStore
-from repro.experiments.sweep import SweepPoint
+from repro.experiments.sweep import SweepPoint, fan_out
 
 __all__ = [
     "resolve_session",
     "resolve_simulation",
-    "resolve_store_root",
     "roc_series",
     "run_roc_figure",
     "run_rate_figure",
     "run_figure_spec",
+    "session_rates",
     "DEFAULT_ROC_FP_GRID",
 ]
 
-
-def resolve_store_root(store: Union[ArtifactStore, str, None]) -> Optional[str]:
-    """Normalise a store argument to its root path.
-
-    The path form is what figure drivers ship to worker processes: each
-    worker re-opens the store by path (content is shared on disk, the
-    hit/miss counters stay per-process).
-    """
-    if store is None:
-        return None
-    if isinstance(store, ArtifactStore):
-        return str(store.root)
-    return str(store)
 
 #: False-positive grid at which ROC curves are sampled when rendered as
 #: series (the paper's ROC plots span 0 .. ~1 with most action below 0.2).
@@ -132,6 +122,45 @@ def run_figure_spec(
         density_workers=density_workers,
         store=store,
     )
+
+
+def _sweep_session(task) -> Dict[SweepPoint, DetectionOutcome]:
+    """Detection rates of the spec's grid in one ``(localizer, m)`` session.
+
+    Module-level so :func:`~repro.experiments.sweep.fan_out` can ship it to
+    worker processes, where *store* arrives as a pickled copy: the content
+    on disk is shared, the hit/miss counters stay per-process.
+    """
+    scenario, localizer, group_size, store, workers = task
+    session = scenario.session(group_size=group_size, localizer=localizer, store=store)
+    return session.sweep(workers=workers).detection_rates(
+        scenario.points(), false_positive_rate=scenario.false_positive_rate
+    )
+
+
+def session_rates(
+    scenario: ScenarioSpec,
+    *,
+    workers: int = 0,
+    density_workers: int = 0,
+    store: Union[ArtifactStore, str, None] = None,
+) -> Dict[Tuple[str, int], Dict[SweepPoint, DetectionOutcome]]:
+    """Detection rates of the spec's points in every session of the spec.
+
+    One session per ``(localizer, group_size)`` of
+    :meth:`~repro.experiments.scenario.ScenarioSpec.sessions`, each with its
+    own training pass — the expensive part, and therefore the axis worth
+    parallelising: ``density_workers > 1`` fans the sessions over that many
+    processes (each sweeping its grid serially), otherwise the sessions run
+    in turn, each sweeping its grid over *workers* processes.  The results
+    are identical either way, since every random stream derives from the
+    config seed and the parameter names.  In-process sessions score into
+    the caller's *store* object, so its hit/miss counters cover the run.
+    """
+    inner = 0 if density_workers > 1 else workers
+    axes = [(localizer, m) for localizer, m, _ in scenario.sessions()]
+    tasks = [(scenario, localizer, m, store, inner) for localizer, m in axes]
+    return dict(zip(axes, fan_out(_sweep_session, tasks, density_workers)))
 
 
 def roc_series(

@@ -11,7 +11,8 @@ exactly the effect the figure demonstrates), so this is the most expensive
 figure; the default density sweep is therefore a small set of
 representative points and can be widened via the ``group_sizes`` argument.
 With an artifact store attached, each density's trained state persists, so
-re-runs skip every training pass.
+re-runs skip every training pass.  The densities run through
+:func:`~repro.experiments.figures.common.session_rates`.
 
 Expected qualitative outcome: the detection rate improves with density,
 because denser networks localise more accurately and admit tighter benign
@@ -20,17 +21,14 @@ thresholds.
 
 from __future__ import annotations
 
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from repro.core.evaluation import DetectionOutcome
 from repro.experiments.config import SimulationConfig
-from repro.experiments.figures.common import resolve_store_root
+from repro.experiments.figures.common import session_rates
 from repro.experiments.results import FigureResult, PanelResult, SeriesResult
 from repro.experiments.scenario import ScenarioSpec
 from repro.experiments.session import LadSession
-from repro.experiments.sweep import FAN_OUT_ERRORS, SweepPoint
+from repro.experiments.sweep import SweepPoint
 
 __all__ = [
     "run",
@@ -84,25 +82,6 @@ def spec(
     ).scaled(scale)
 
 
-def _density_rates(
-    args: Tuple[ScenarioSpec, int, Optional[str]],
-) -> Tuple[int, Dict[SweepPoint, DetectionOutcome]]:
-    """Detection rates of one density value (its own training pass).
-
-    Module-level so the density fan-out can ship it to worker processes;
-    every stream inside is derived from the config seed and parameter
-    names, so the result is independent of where (and in which order) the
-    densities run.  Workers re-open the artifact store by path (counters
-    stay per-process, content is shared).
-    """
-    scenario, group_size, store_root = args
-    session = scenario.session(group_size=group_size, store=store_root)
-    rates = session.sweep(workers=0).detection_rates(
-        scenario.points(), false_positive_rate=scenario.false_positive_rate
-    )
-    return int(group_size), rates
-
-
 def render(
     scenario: ScenarioSpec,
     *,
@@ -142,36 +121,10 @@ def render(
             "attack": scenario.attacks[0],
         },
     )
-
-    # One session (with its own training) per density value; the
-    # per-density (D, x) grid runs through its sweep runner.  With
-    # ``density_workers`` the densities themselves fan out across worker
-    # processes (the training pass is the expensive part, and each density
-    # needs its own).
-    rates_at: Dict[int, Dict[SweepPoint, DetectionOutcome]] = {}
-    store_root = resolve_store_root(store)
-    tasks = [(scenario, m, store_root) for m in scenario.density_values()]
-    if density_workers > 1:
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(density_workers, len(tasks))
-            ) as pool:
-                rates_at = dict(pool.map(_density_rates, tasks))
-        except FAN_OUT_ERRORS as exc:
-            warnings.warn(
-                f"density fan-out unavailable on this platform ({exc!r}); "
-                "running the densities serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            rates_at = {}
-    if not rates_at:
-        for m in scenario.density_values():
-            session = scenario.session(group_size=m, store=store_root)
-            rates_at[int(m)] = session.sweep(workers=workers).detection_rates(
-                scenario.points(),
-                false_positive_rate=scenario.false_positive_rate,
-            )
+    rates_at = session_rates(
+        scenario, workers=workers, density_workers=density_workers, store=store
+    )
+    localizer = scenario.localizer_values()[0]
 
     for degree in scenario.degrees:
         panel = PanelResult(
@@ -181,7 +134,7 @@ def render(
         )
         for fraction in scenario.fractions:
             rates = [
-                rates_at[int(m)][
+                rates_at[localizer, m][
                     SweepPoint(
                         scenario.metrics[0],
                         scenario.attacks[0],

@@ -1,25 +1,31 @@
-"""Figure M — The localizer × attack robustness matrix.
+"""Figure M — The localizer × attack robustness matrix, and its Figure L preset.
 
-Figure L compares every localization scheme under the *one* abstract
-Dec-Bounded adversary.  This figure generalises that comparison into a
-full matrix: every scheme on the ``localizers`` axis is trained
-independently and then evaluated against every attack class on the
-``attacks`` axis — the paper's observation-tainting adversaries *and*
-the modality-targeted physical-layer attacks of
-:mod:`repro.attacks.modality`.  One panel per attack class, one curve
-per scheme, detection rate over the degree of damage.
+Every scheme on the ``localizers`` axis is trained independently and then
+evaluated against every attack class on the ``attacks`` axis — the
+paper's observation-tainting adversaries *and* the modality-targeted
+physical-layer attacks of :mod:`repro.attacks.modality`.  One panel per
+attack class, one curve per scheme, detection rate over the degree of
+damage.
 
 The matrix makes the modality gating visible: an RSSI amplifier read
 against DV-Hop produces a flat zero-displacement row (nothing to
 detect — the attack is futile against that scheme), while the same
 attack against the RSSI path-loss scheme displaces up to its physical
 cap and is caught essentially immediately because the victim's
-observation stays honest.  The Dec-* columns reproduce Figure L's
-ordering for every scheme including the new RSSI/TDOA localizers.
+observation stays honest.
+
+**Figure L** is the matrix's Dec-Bounded column over the five classic
+schemes (:data:`FIGL`).  It is not in the paper but directly supports its
+Section 7.2 discussion: LAD is agnostic to the localization scheme, and
+the trained thresholds absorb each scheme's own benign error — the
+coarser a scheme's benign localization error, the looser its thresholds
+and the lower its detection rate at small D.  It keeps its own id, title,
+parameters and one panel per compromise fraction.
 
 Cost scales as ``len(localizers)`` training passes (each sweeping the
 full ``attacks × degrees × fractions`` grid); ``density_workers`` fans
-the localizer axis over worker processes exactly like Figure L, and an
+the localizer axis over worker processes
+(:func:`~repro.experiments.figures.common.session_rates`), and an
 attached artifact store keeps every scheme's trained state under its
 own modality-aware beacon fingerprint — cross-scheme artifacts are
 never shared.
@@ -27,23 +33,25 @@ never shared.
 
 from __future__ import annotations
 
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
-from repro.core.evaluation import DetectionOutcome
 from repro.experiments.config import SimulationConfig
-from repro.experiments.figures.common import resolve_store_root
-from repro.experiments.figures.figl import _effective_beacons
+from repro.experiments.figures.common import session_rates
 from repro.experiments.results import FigureResult, PanelResult, SeriesResult
 from repro.experiments.scenario import ScenarioSpec
 from repro.experiments.session import LadSession
-from repro.experiments.sweep import FAN_OUT_ERRORS, SweepPoint
+from repro.experiments.sweep import SweepPoint
+from repro.localization.base import LOCALIZERS
+from repro.localization.beacons import BeaconSpec
 
 __all__ = [
     "run",
     "render",
     "spec",
+    "MatrixFigure",
+    "FIGL",
+    "FIGM",
     "LOCALIZERS_COMPARED",
     "ATTACKS_COMPARED",
     "DEGREES_OF_DAMAGE",
@@ -81,181 +89,190 @@ FALSE_POSITIVE_RATE: float = 0.01
 METRIC: str = "diff"
 
 
-def spec(
-    config: Optional[SimulationConfig] = None,
-    scale: float = 1.0,
-    *,
-    localizers: Sequence[str] = LOCALIZERS_COMPARED,
-    attacks: Sequence[str] = ATTACKS_COMPARED,
-    degrees: Sequence[float] = DEGREES_OF_DAMAGE,
-    fractions: Sequence[float] = COMPROMISED_FRACTIONS,
-    false_positive_rate: float = FALSE_POSITIVE_RATE,
-) -> ScenarioSpec:
-    """The figure's evaluation as a declarative scenario."""
-    return ScenarioSpec(
-        name="figm",
-        description="Localizer x attack robustness matrix",
-        metrics=(METRIC,),
-        attacks=tuple(attacks),
-        degrees=tuple(degrees),
-        fractions=tuple(fractions),
-        localizers=tuple(localizers),
-        false_positive_rate=false_positive_rate,
-        config=config or SimulationConfig(),
-    ).scaled(scale)
+def _effective_beacons(scenario: ScenarioSpec) -> Optional[dict]:
+    """The beacon spec the sessions will actually deploy (for reporting).
 
-
-def _localizer_rates(
-    args: Tuple[ScenarioSpec, str, Optional[str]],
-) -> Tuple[str, Dict[SweepPoint, DetectionOutcome]]:
-    """Detection rates of one scheme over the full attack grid.
-
-    Module-level so the localizer fan-out can ship it to worker
-    processes; every stream inside is derived from the config seed and
-    parameter names, so the result is independent of where the schemes
-    run.  Workers re-open the artifact store by path (counters stay
-    per-process, content is shared).
+    Sessions running a beacon-based scheme fall back to the
+    :class:`BeaconSpec` defaults when the scenario carries none, so the
+    figure parameters record that effective spec instead of ``None``.
     """
-    scenario, localizer, store_root = args
-    session = scenario.session(localizer=localizer, store=store_root)
-    rates = session.sweep(workers=0).detection_rates(
-        scenario.points(), false_positive_rate=scenario.false_positive_rate
+    if scenario.beacons is not None:
+        return scenario.beacons.as_dict()
+    needs_beacons = any(
+        LOCALIZERS.get(name).requires_beacons for name in scenario.localizer_values()
     )
-    return localizer, rates
+    return BeaconSpec().as_dict() if needs_beacons else None
 
 
-def render(
-    scenario: ScenarioSpec,
-    *,
-    session: Optional[LadSession] = None,
-    workers: int = 0,
-    density_workers: int = 0,
-    store=None,
-) -> FigureResult:
-    """Render figure M from an already-built scenario spec.
+@dataclass(frozen=True)
+class MatrixFigure:
+    """One preset of the matrix: its identity and default axes.
 
-    The *session* argument is ignored (each localizer needs its own
-    threshold training); it is accepted for interface uniformity with
-    the other figure renderers.
-
-    Parameters
-    ----------
-    workers:
-        Worker processes for the per-scheme attack-grid sweep (only
-        used when ``density_workers`` is off).
-    density_workers:
-        When ``> 1``, fan the *localizer axis* over this many worker
-        processes instead — every scheme's training pass is independent,
-        which is the axis worth parallelising here.  Results are
-        identical to the serial run; platforms without process support
-        fall back to the serial path with a warning.
+    ``spec``, ``render`` and ``run`` have the interface of a figure
+    module.  A *single_attack* preset (Figure L) plots the first attack
+    only, titles its panels by compromise fraction and names that attack
+    in its parameters.
     """
-    del session
 
-    figure = FigureResult(
-        figure_id="figm",
-        title="Localizer x attack robustness matrix",
-        parameters={
+    figure_id: str
+    title: str
+    localizers: Tuple[str, ...]
+    attacks: Tuple[str, ...]
+    degrees: Tuple[float, ...]
+    single_attack: bool = False
+
+    def spec(
+        self,
+        config: Optional[SimulationConfig] = None,
+        scale: float = 1.0,
+        *,
+        localizers: Optional[Sequence[str]] = None,
+        attacks: Optional[Sequence[str]] = None,
+        degrees: Optional[Sequence[float]] = None,
+        fractions: Sequence[float] = COMPROMISED_FRACTIONS,
+        false_positive_rate: float = FALSE_POSITIVE_RATE,
+    ) -> ScenarioSpec:
+        """The figure's evaluation as a declarative scenario."""
+        return ScenarioSpec(
+            name=self.figure_id,
+            description=self.title,
+            metrics=(METRIC,),
+            attacks=tuple(self.attacks if attacks is None else attacks),
+            degrees=tuple(self.degrees if degrees is None else degrees),
+            fractions=tuple(fractions),
+            localizers=tuple(self.localizers if localizers is None else localizers),
+            false_positive_rate=false_positive_rate,
+            config=config or SimulationConfig(),
+        ).scaled(scale)
+
+    def render(
+        self,
+        scenario: ScenarioSpec,
+        *,
+        session: Optional[LadSession] = None,
+        workers: int = 0,
+        density_workers: int = 0,
+        store=None,
+    ) -> FigureResult:
+        """Render the figure from an already-built scenario spec.
+
+        The *session* argument is ignored (each localizer needs its own
+        threshold training); it is accepted for interface uniformity with
+        the other figure renderers.
+
+        Parameters
+        ----------
+        workers:
+            Worker processes for the per-scheme attack-grid sweep (only
+            used when ``density_workers`` is off).
+        density_workers:
+            When ``> 1``, fan the *localizer axis* over this many worker
+            processes instead — every scheme's training pass is
+            independent, which is the axis worth parallelising here.
+            Results are identical to the serial run; platforms without
+            process support fall back to the serial path with a warning.
+        """
+        del session
+        parameters = {
             "false_positive_rate": scenario.false_positive_rate,
             "metric": scenario.metrics[0],
-            "attacks": list(scenario.attacks),
-            "localizers": list(scenario.localizer_values()),
-            "beacons": _effective_beacons(scenario),
-        },
-    )
+        }
+        attacks = scenario.attacks
+        if self.single_attack:
+            attacks = attacks[:1]
+            parameters["attack"] = attacks[0]
+        else:
+            parameters["attacks"] = list(attacks)
+            parameters["localizers"] = list(scenario.localizer_values())
+        parameters["beacons"] = _effective_beacons(scenario)
+        figure = FigureResult(
+            figure_id=self.figure_id, title=self.title, parameters=parameters
+        )
+        rates_at = session_rates(
+            scenario, workers=workers, density_workers=density_workers, store=store
+        )
+        group_size = scenario.density_values()[0]
 
-    rates_at: Dict[str, Dict[SweepPoint, DetectionOutcome]] = {}
-    store_root = resolve_store_root(store)
-    tasks = [
-        (scenario, localizer, store_root)
-        for localizer in scenario.localizer_values()
-    ]
-    if density_workers > 1:
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(density_workers, len(tasks))
-            ) as pool:
-                rates_at = dict(pool.map(_localizer_rates, tasks))
-        except FAN_OUT_ERRORS as exc:
-            warnings.warn(
-                f"localizer fan-out unavailable on this platform ({exc!r}); "
-                "running the schemes serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            rates_at = {}
-    if not rates_at:
-        # Serial path: reuse the caller's store object (when given one) so
-        # its hit/miss counters aggregate across the schemes — the CLI's
-        # cache summary reads them.  Workers always re-open by path.
-        serial_store = store if store is not None else store_root
-        for localizer in scenario.localizer_values():
-            sess = scenario.session(localizer=localizer, store=serial_store)
-            rates_at[localizer] = sess.sweep(workers=workers).detection_rates(
-                scenario.points(),
-                false_positive_rate=scenario.false_positive_rate,
-            )
-
-    for attack in scenario.attacks:
-        for fraction in scenario.fractions:
-            title = f"attack={attack}"
-            if len(scenario.fractions) > 1:
-                title += f", x={int(round(fraction * 100))}%"
-            panel = PanelResult(
-                title=title,
-                x_label="D-Degree of Damage (m)",
-                y_label="DR-Detection Rate",
-            )
-            for localizer in scenario.localizer_values():
-                rates = [
-                    rates_at[localizer][
-                        SweepPoint(
-                            scenario.metrics[0],
-                            attack,
-                            float(degree),
-                            float(fraction),
-                        )
-                    ].detection_rate
-                    for degree in scenario.degrees
-                ]
-                panel.add_series(
-                    SeriesResult(
-                        label=localizer,
-                        x=[float(degree) for degree in scenario.degrees],
-                        y=rates,
-                    )
+        for attack in attacks:
+            for fraction in scenario.fractions:
+                percent = f"x={int(round(fraction * 100))}%"
+                if self.single_attack:
+                    title = percent
+                elif len(scenario.fractions) > 1:
+                    title = f"attack={attack}, {percent}"
+                else:
+                    title = f"attack={attack}"
+                panel = PanelResult(
+                    title=title,
+                    x_label="D-Degree of Damage (m)",
+                    y_label="DR-Detection Rate",
                 )
-            figure.add_panel(panel)
-    return figure
+                for localizer in scenario.localizer_values():
+                    rates = [
+                        rates_at[localizer, group_size][
+                            SweepPoint(
+                                scenario.metrics[0],
+                                attack,
+                                float(degree),
+                                float(fraction),
+                            )
+                        ].detection_rate
+                        for degree in scenario.degrees
+                    ]
+                    panel.add_series(
+                        SeriesResult(
+                            label=localizer,
+                            x=[float(degree) for degree in scenario.degrees],
+                            y=rates,
+                        )
+                    )
+                figure.add_panel(panel)
+        return figure
+
+    def run(
+        self,
+        simulation: Optional[LadSession] = None,
+        config: Optional[SimulationConfig] = None,
+        scale: float = 1.0,
+        *,
+        workers: int = 0,
+        density_workers: int = 0,
+        store=None,
+        **axes,
+    ) -> FigureResult:
+        """Reproduce the figure and return its series.
+
+        *axes* are the keyword axes of :meth:`spec`; the rest is as in
+        :meth:`render`.
+        """
+        return self.render(
+            self.spec(config, scale, **axes),
+            session=simulation,
+            workers=workers,
+            density_workers=density_workers,
+            store=store,
+        )
 
 
-def run(
-    simulation: Optional[LadSession] = None,
-    config: Optional[SimulationConfig] = None,
-    scale: float = 1.0,
-    *,
-    localizers: Sequence[str] = LOCALIZERS_COMPARED,
-    attacks: Sequence[str] = ATTACKS_COMPARED,
-    degrees: Sequence[float] = DEGREES_OF_DAMAGE,
-    fractions: Sequence[float] = COMPROMISED_FRACTIONS,
-    false_positive_rate: float = FALSE_POSITIVE_RATE,
-    workers: int = 0,
-    density_workers: int = 0,
-    store=None,
-) -> FigureResult:
-    """Reproduce figure M and return its series (see :func:`render`)."""
-    return render(
-        spec(
-            config,
-            scale,
-            localizers=localizers,
-            attacks=attacks,
-            degrees=degrees,
-            fractions=fractions,
-            false_positive_rate=false_positive_rate,
-        ),
-        session=simulation,
-        workers=workers,
-        density_workers=density_workers,
-        store=store,
-    )
+#: Figure M: every scheme against every attack.
+FIGM = MatrixFigure(
+    figure_id="figm",
+    title="Localizer x attack robustness matrix",
+    localizers=LOCALIZERS_COMPARED,
+    attacks=ATTACKS_COMPARED,
+    degrees=DEGREES_OF_DAMAGE,
+)
+
+#: Figure L: the Dec-Bounded column over the five classic schemes.
+FIGL = MatrixFigure(
+    figure_id="figl",
+    title="Detection rate vs degree of damage per localization scheme",
+    localizers=LOCALIZERS_COMPARED[:5],
+    attacks=("dec_bounded",),
+    degrees=(40.0, 80.0, 120.0, 160.0),
+    single_attack=True,
+)
+
+spec = FIGM.spec
+render = FIGM.render
+run = FIGM.run

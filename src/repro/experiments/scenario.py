@@ -27,7 +27,7 @@ import json
 import tomllib
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.attacks.constraints import ATTACKS
 from repro.backend import BackendSpec
@@ -229,12 +229,19 @@ class ScenarioSpec:
 
     def sessions(
         self, *, store: Union[ArtifactStore, str, None] = None
-    ) -> List[Tuple[int, LadSession]]:
-        """One ``(group_size, session)`` pair per density value."""
-        return [
-            (m, self.session(group_size=m, store=store))
-            for m in self.density_values()
-        ]
+    ) -> Iterator[Tuple[str, int, LadSession]]:
+        """Every ``(localizer, group_size, session)`` of the spec.
+
+        The localizer axis is the outer loop, the density axis the inner
+        one.  Each session trains its own thresholds; sessions are built
+        lazily and construction itself computes nothing.
+        """
+        for localizer in self.localizer_values():
+            for group_size in self.density_values():
+                session = self.session(
+                    group_size=group_size, localizer=localizer, store=store
+                )
+                yield localizer, group_size, session
 
     # -- figure rendering --------------------------------------------------
 

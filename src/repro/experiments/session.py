@@ -319,6 +319,12 @@ class LadSession:
         backend = self._backend_fingerprint()
         if backend is not None:
             fingerprint["backend"] = backend
+        if c.gz_omega != 1000:
+            # Scores trained before training shared the session's g(z)
+            # table were localized under the ω = 1000 default.  Marking the
+            # other resolutions retires those keys, while ω = 1000 keys
+            # (whose values are unchanged) stay warm.
+            fingerprint["training_knowledge"] = "session"
         return fingerprint
 
     def victims_fingerprint(self) -> Dict[str, object]:
@@ -496,7 +502,7 @@ class LadSession:
                     self._beacon_spec.noise_std if beacons is not None else 0.0
                 ),
                 rng=self._random.stream("training"),
-                backend=self._backend,
+                knowledge=self.knowledge,
             )
         return self._training
 

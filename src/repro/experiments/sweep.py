@@ -30,6 +30,12 @@ and embedded interpreters) degrade gracefully: the runner emits a
 ``RuntimeWarning`` and runs the identical serial path instead of crashing
 mid-sweep.
 
+:func:`fan_out` is that pool-with-serial-fallback, and the only process
+pool of the package: the sweep's cold points, the temporal runner's
+points (:mod:`repro.events.temporal`) and the figures' per-session
+training passes (:mod:`repro.experiments.figures.common`) all fan out
+through it.
+
 The figure drivers (:mod:`repro.experiments.figures`) all route their
 parameter grids through this runner.
 """
@@ -41,9 +47,12 @@ import itertools
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Callable,
+    ContextManager,
     Dict,
     Iterable,
     Iterator,
@@ -51,6 +60,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -74,9 +84,13 @@ __all__ = [
     "SweepPoint",
     "SweepRunner",
     "attack_stream_name",
+    "fan_out",
     "shard_of_point",
     "shard_points",
 ]
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 def attack_stream_name(
@@ -156,9 +170,57 @@ def shard_points(
 #: Shared per-worker state, installed once by the pool initializer.
 _WORKER_STATE: dict = {}
 
-#: Errors that mean "this platform cannot fan out worker processes" — the
-#: runner falls back to the (bit-identical) serial path when it sees one.
+#: Errors that mean "this platform cannot fan out worker processes" —
+#: :func:`fan_out` falls back to the (bit-identical) serial path on one.
 FAN_OUT_ERRORS = (ImportError, NotImplementedError, OSError, BrokenProcessPool)
+
+
+def fan_out(
+    fn: Callable[[T], R],
+    tasks: Sequence[T],
+    workers: int,
+    *,
+    serial: Optional[Callable[[T], R]] = None,
+    initializer: Optional[Callable[[object], None]] = None,
+    worker_state: Callable[[], ContextManager[object]] = nullcontext,
+) -> Iterator[R]:
+    """Yield the result of every task, in task order.
+
+    With ``workers <= 1`` each task runs in-process through *serial*
+    (default: *fn*).  Otherwise a pool of up to *workers* processes maps
+    *fn* over the tasks.  ``worker_state()`` is entered only once a pool
+    is wanted; its value reaches every worker through
+    ``initializer(value)`` and it is exited after the pool shuts down.
+
+    Any :data:`FAN_OUT_ERRORS` — raised while building the worker state,
+    while starting the pool or mid-stream — emits one ``RuntimeWarning``,
+    and the remaining tasks continue serially from the first one not yet
+    yielded.  *fn* and *serial* must return the same result for a task
+    (every random stream is name-derived), so the switch never shows.
+    """
+    tasks = list(tasks)
+    serial = fn if serial is None else serial
+    done = 0
+    if workers > 1 and tasks:
+        try:
+            with worker_state() as state:
+                with ProcessPoolExecutor(
+                    max_workers=min(workers, len(tasks)),
+                    initializer=initializer,
+                    initargs=() if initializer is None else (state,),
+                ) as pool:
+                    for result in pool.map(fn, tasks):
+                        yield result
+                        done += 1
+        except FAN_OUT_ERRORS as exc:
+            warnings.warn(
+                f"process fan-out unavailable on this platform ({exc!r}); "
+                f"falling back to the serial path from task {done}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    for task in tasks[done:]:
+        yield serial(task)
 
 
 def _share_array(array: np.ndarray):
@@ -175,6 +237,16 @@ def _share_array(array: np.ndarray):
     view[...] = array
     meta = {"name": segment.name, "shape": array.shape, "dtype": str(array.dtype)}
     return segment, meta
+
+
+def _release(segments) -> None:
+    """Close and unlink shared-memory segments created by :func:`_share_array`."""
+    for segment in segments:
+        segment.close()
+        try:
+            segment.unlink()
+        except FileNotFoundError:  # pragma: no cover - already gone
+            pass
 
 
 def _attach_array(meta: dict):
@@ -447,12 +519,7 @@ class SweepRunner:
                     continue
                 # Vanished or corrupt since the probe (quarantined by the
                 # failed load): recompute this point inline.
-                scores = session._compute_attacked_scores(
-                    point.metric,
-                    point.attack,
-                    degree_of_damage=point.degree_of_damage,
-                    compromised_fraction=point.compromised_fraction,
-                )
+                scores = self._score(point)
             else:
                 scores = next(cold_scores)
             if store is not None and keys[i] is not None:
@@ -461,35 +528,30 @@ class SweepRunner:
                     manifest.record_done(store, keys[i])
             yield point, scores
 
-    def _iter_cold_scores(
-        self, points: List[SweepPoint]
-    ) -> Iterator[np.ndarray]:
+    def _score(self, point: SweepPoint) -> np.ndarray:
+        """Attacked scores of one point, computed in-process."""
+        return self._simulation._compute_attacked_scores(
+            point.metric,
+            point.attack,
+            degree_of_damage=point.degree_of_damage,
+            compromised_fraction=point.compromised_fraction,
+        )
+
+    def _iter_cold_scores(self, points: List[SweepPoint]) -> Iterator[np.ndarray]:
         """Compute scores for store-missing points, in grid order.
 
         The store was already consulted by :meth:`iter_attacked_scores`
         (which also publishes the results), so this path scores directly —
-        via the pool when requested, with the usual serial fallback.
+        via the shared-memory pool when requested, serially otherwise.
         """
-        yielded = 0
-        if self._workers > 1 and points:
-            try:
-                for _point, scores in self._iter_parallel(points):
-                    yield scores
-                    yielded += 1
-            except FAN_OUT_ERRORS as exc:
-                warnings.warn(
-                    f"parallel sweep unavailable on this platform ({exc!r}); "
-                    "falling back to the serial path",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        for point in points[yielded:]:
-            yield self._simulation._compute_attacked_scores(
-                point.metric,
-                point.attack,
-                degree_of_damage=point.degree_of_damage,
-                compromised_fraction=point.compromised_fraction,
-            )
+        return fan_out(
+            _score_point,
+            points,
+            self._workers,
+            serial=self._score,
+            initializer=_init_worker,
+            worker_state=self._shared_payload,
+        )
 
     def _pool_payload(self):
         """Shared segments plus the metadata-only pool initializer payload.
@@ -520,12 +582,7 @@ class SweepRunner:
                 segments.append(segment)
                 shared_arrays[key] = meta
         except BaseException:
-            for segment in segments:
-                segment.close()
-                try:
-                    segment.unlink()
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    pass
+            _release(segments)
             raise
         payload = {
             "seed": session.config.seed,
@@ -539,25 +596,14 @@ class SweepRunner:
         }
         return segments, payload
 
-    def _iter_parallel(
-        self, points: List[SweepPoint]
-    ) -> Iterator[Tuple[SweepPoint, np.ndarray]]:
-        """Fan the grid over a pool; the shared state travels via shared memory."""
+    @contextmanager
+    def _shared_payload(self) -> Iterator[dict]:
+        """The pool payload, its shared segments released on exit."""
         segments, payload = self._pool_payload()
         try:
-            with ProcessPoolExecutor(
-                max_workers=self._workers,
-                initializer=_init_worker,
-                initargs=(payload,),
-            ) as pool:
-                yield from zip(points, pool.map(_score_point, points))
+            yield payload
         finally:
-            for segment in segments:
-                segment.close()
-                try:
-                    segment.unlink()
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    pass
+            _release(segments)
 
     def rocs(
         self,

@@ -55,6 +55,14 @@ class TestComputations:
         probs = small_knowledge.membership_probabilities(point[None, :])[0]
         assert int(np.argmax(probs)) == 7
 
+    def test_probabilities_decay_with_distance(self, small_knowledge):
+        """g_i(θ) decreases as θ moves away from deployment point i."""
+        dp = small_knowledge.deployment_points[0]
+        offsets = np.array([0.0, 50.0, 150.0, 300.0])
+        locations = dp + np.column_stack([offsets, np.zeros_like(offsets)])
+        values = small_knowledge.membership_probabilities(locations)[:, 0]
+        assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
     def test_expected_observation_is_m_times_probability(self, small_knowledge):
         locs = np.array([[120.0, 340.0]])
         probs = small_knowledge.membership_probabilities(locs)

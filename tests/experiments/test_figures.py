@@ -179,14 +179,14 @@ class TestFig9:
                 assert a.y == b.y
 
     def test_density_fan_out_falls_back_serially(self, tiny_config, monkeypatch):
-        from repro.experiments.figures import fig9 as fig9_module
+        from repro.experiments import sweep as sweep_module
 
         def broken_pool(*args, **kwargs):
             raise OSError("no process support")
 
-        monkeypatch.setattr(fig9_module, "ProcessPoolExecutor", broken_pool)
-        with pytest.warns(RuntimeWarning, match="running the densities serially"):
-            result = fig9_module.run(
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", broken_pool)
+        with pytest.warns(RuntimeWarning, match="falling back to the serial path"):
+            result = fig9.run(
                 config=tiny_config,
                 group_sizes=(40,),
                 degrees=(160.0,),
@@ -194,6 +194,30 @@ class TestFig9:
                 density_workers=2,
             )
         assert result.figure_id == "fig9"
+
+    def test_warm_render_hits_the_callers_store(self, tiny_config, tmp_path):
+        """Both renders count into the store object the caller passed: the
+        cold one publishes every artifact, the warm one only hits."""
+        from repro.experiments.store import ArtifactStore
+
+        store = ArtifactStore(tmp_path)
+        kwargs = dict(
+            config=tiny_config,
+            group_sizes=(40, 80),
+            degrees=(160.0,),
+            fractions=(0.1, 0.3),
+            store=store,
+        )
+        cold = fig9.run(**kwargs)
+        assert store.miss_counts["attacked_scores"] == 4
+        store.hits = store.misses = 0
+        store.hit_counts.clear()
+        store.miss_counts.clear()
+        warm = fig9.run(**kwargs)
+        assert warm.as_dict() == cold.as_dict()
+        assert store.misses == 0
+        assert store.hit_counts["attacked_scores"] == 4
+        assert store.hit_counts["benign_scores"] == 2
 
 
 class TestFigL:

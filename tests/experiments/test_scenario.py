@@ -7,6 +7,7 @@ from repro.experiments.config import SimulationConfig
 from repro.experiments.scenario import ScenarioSpec
 from repro.experiments.session import LadSession
 from repro.experiments.sweep import SweepPoint
+from repro.localization.base import LOCALIZERS
 from repro.localization.beacons import BeaconSpec
 
 
@@ -267,6 +268,21 @@ class TestEngineEquivalence:
 
     def test_sessions_one_per_density(self, tiny_config):
         spec = ScenarioSpec(group_sizes=(20, 40), config=tiny_config)
-        sessions = spec.sessions()
-        assert [m for m, _ in sessions] == [20, 40]
-        assert [s.config.group_size for _, s in sessions] == [20, 40]
+        sessions = list(spec.sessions())
+        assert [m for _, m, _ in sessions] == [20, 40]
+        assert [s.config.group_size for _, _, s in sessions] == [20, 40]
+
+    def test_sessions_localizer_outer_density_inner(self, tiny_config):
+        spec = ScenarioSpec(
+            group_sizes=(20, 40), localizers=("centroid", "dvhop"), config=tiny_config
+        )
+        sessions = list(spec.sessions())
+        assert [(name, m) for name, m, _ in sessions] == [
+            ("centroid", 20),
+            ("centroid", 40),
+            ("dvhop", 20),
+            ("dvhop", 40),
+        ]
+        for name, m, session in sessions:
+            assert isinstance(session.localizer, LOCALIZERS.get(name))
+            assert session.config.group_size == m

@@ -236,6 +236,43 @@ class TestCrossProcessPublish:
         assert list(tmp_path.rglob("*.corrupt")) == []
 
 
+class TestTrainingSharesSessionKnowledge:
+    """Thresholds are trained under the g(z) table that scores the claims."""
+
+    @staticmethod
+    def _session(gz_omega):
+        # The tiny_sweep.toml scenario at the given g(z) resolution.
+        return LadSession(
+            SimulationConfig(
+                group_size=40,
+                num_training_samples=30,
+                training_samples_per_network=15,
+                num_victims=30,
+                victims_per_network=15,
+                gz_omega=gz_omega,
+                seed=777,
+            )
+        )
+
+    def test_training_estimates_use_the_session_knowledge(self):
+        session = self._session(300)
+        training = session.training_data
+        np.testing.assert_array_equal(
+            training.estimated_locations,
+            session.localizer.localize_observations(
+                session.knowledge, training.observations
+            ),
+        )
+
+    def test_default_omega_keys_stay_warm(self):
+        """The ω = 1000 benign-score key predates the fix and must not move
+        (its values did not); every other ω gets a fresh key."""
+        assert self._session(1000).benign_scores_key("diff") == (
+            "9f8d175e52c0e402bc761bda4abc1d0444b5c58be2e2775a8d2fd4355ec50c10"
+        )
+        assert "training_knowledge" in self._session(300).training_fingerprint()
+
+
 class TestSessionCaching:
     def test_warm_cache_skips_training_with_identical_results(
         self, tiny_config, tmp_path, monkeypatch

@@ -5,7 +5,12 @@ import pytest
 
 from repro.experiments.config import SimulationConfig
 from repro.experiments.session import LadSession
-from repro.experiments.sweep import SweepPoint, SweepRunner, attack_stream_name
+from repro.experiments.sweep import (
+    SweepPoint,
+    SweepRunner,
+    attack_stream_name,
+    fan_out,
+)
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +44,62 @@ class TestGrid:
             "diff", "dec_only", 120.0, 0.25
         )
         assert point.stream_name() == "attack/diff/dec_only/120/0.25"
+
+
+def _square(task):
+    return task * task
+
+
+class TestFanOut:
+    """The one process fan-out helper and its serial fallback."""
+
+    def test_pool_results_come_back_in_task_order(self):
+        assert list(fan_out(_square, range(6), 2)) == [0, 1, 4, 9, 16, 25]
+
+    def test_single_worker_never_starts_a_pool(self, monkeypatch, recwarn):
+        from repro.experiments import sweep as sweep_module
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", None)
+        assert list(fan_out(_square, range(3), 1)) == [0, 1, 4]
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("fails_after", [0, 2])
+    def test_broken_pool_continues_serially_from_the_first_missing_task(
+        self, monkeypatch, fails_after
+    ):
+        """A pool dying before its first result, or after k of them, hands
+        the rest to the serial path: one warning, task order, serial values."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.experiments import sweep as sweep_module
+
+        class DyingPool:
+            def __init__(self, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                for task in tasks[:fails_after]:
+                    yield fn(task)
+                raise BrokenProcessPool("a worker died")
+
+        serial_tasks = []
+
+        def serial(task):
+            serial_tasks.append(task)
+            return _square(task)
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", DyingPool)
+        with pytest.warns(RuntimeWarning) as record:
+            results = list(fan_out(_square, range(5), 2, serial=serial))
+        assert [w.category for w in record] == [RuntimeWarning]
+        assert results == list(fan_out(_square, range(5), 0))
+        assert serial_tasks == list(range(fails_after, 5))
 
 
 class TestSerialSweep:
