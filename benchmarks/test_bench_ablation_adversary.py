@@ -8,10 +8,11 @@ Diff-minimising procedure.  The detection rate should drop monotonically
 from (a) to (c) — i.e. the greedy adversary is genuinely the hardest to
 catch, which justifies evaluating LAD against it.
 
-The file also tracks the speedup of the vectorised
-:meth:`GreedyMetricMinimizer.taint_batch` (the 2-D decrease-allocation over
-all victims at once) against the per-row :meth:`taint` loop, asserting the
-outputs stay bit-identical.
+The file also tracks two speedups of :meth:`GreedyMetricMinimizer.taint_batch`,
+asserting the outputs stay bit-identical: the 2-D decrease-allocation of
+the Diff metric against the per-row :meth:`taint` loop, and the lock-step
+Probability-metric greedy against the per-row sequential oracle of
+``tests/attacks/greedy_oracle.py``.
 """
 
 import time
@@ -27,6 +28,7 @@ from repro.attacks.primitives import SilenceAttack
 from repro.core.evaluation import detection_rate_at_false_positive
 from repro.core.metrics import DiffMetric
 from repro.experiments.session import LadSession
+from tests.attacks.greedy_oracle import oracle_taint_batch
 
 DEGREE = 80.0
 FRACTION = 0.20
@@ -99,21 +101,31 @@ def test_adversary_strength_ablation(benchmark):
     assert rates["naive silence attack"] <= rates["no adversary on detection"] + 0.05
 
 
+N_GROUPS = 100
+GROUP_SIZE = 40
+
+
+def _taint_inputs(num_victims: int):
+    """Seeded victims over 100 groups of 40 sensors, budgets 0-79."""
+    rng = np.random.default_rng(20050404)
+    shape = (num_victims, N_GROUPS)
+    honest = np.round(rng.uniform(0.0, GROUP_SIZE, size=shape))
+    expected = rng.uniform(0.0, GROUP_SIZE, size=shape)
+    budgets = [int(b) for b in rng.integers(0, 2 * GROUP_SIZE, size=num_victims)]
+    return honest, expected, budgets
+
+
 def test_taint_batch_vectorised_speedup():
     """Vectorised taint_batch at 512 victims: bit-identical, >= 5x."""
-    rng = np.random.default_rng(20050404)
-    num_victims, n_groups = 512, 100
-    group_size = 40
-    honest = np.round(rng.uniform(0.0, group_size, size=(num_victims, n_groups)))
-    expected = rng.uniform(0.0, group_size, size=(num_victims, n_groups))
-    budgets = [int(b) for b in rng.integers(0, 2 * group_size, size=num_victims)]
+    num_victims = 512
+    honest, expected, budgets = _taint_inputs(num_victims)
     adversary = GreedyMetricMinimizer("diff", "dec_bounded")
 
     def per_row_loop():
         return np.vstack(
             [
                 adversary.taint(
-                    honest[i], expected[i], budgets[i], group_size=group_size
+                    honest[i], expected[i], budgets[i], group_size=GROUP_SIZE
                 )
                 for i in range(num_victims)
             ]
@@ -121,7 +133,7 @@ def test_taint_batch_vectorised_speedup():
 
     def batched():
         return adversary.taint_batch(
-            honest, expected, budgets, group_size=group_size
+            honest, expected, budgets, group_size=GROUP_SIZE
         )
 
     # Warm both paths before timing.
@@ -147,7 +159,7 @@ def test_taint_batch_vectorised_speedup():
         loop_seconds=loop_best,
         batch_seconds=batch_best,
         victims=num_victims,
-        n_groups=n_groups,
+        n_groups=N_GROUPS,
     )
     print(
         f"\ntaint_batch: loop {loop_best * 1000:.1f} ms, "
@@ -155,3 +167,50 @@ def test_taint_batch_vectorised_speedup():
         f"({num_victims} victims)"
     )
     assert speedup >= 5.0
+
+
+def test_taint_batch_probability_speedup():
+    """Lock-step Probability greedy at 256 victims: bit-identical, >= 10x."""
+    num_victims = 256
+    honest, expected, budgets = _taint_inputs(num_victims)
+    adversary = GreedyMetricMinimizer("probability", "dec_bounded")
+
+    def per_row_oracle():
+        return oracle_taint_batch(
+            adversary, honest, expected, budgets, group_size=GROUP_SIZE
+        )
+
+    def lock_step():
+        return adversary.taint_batch(
+            honest, expected, budgets, group_size=GROUP_SIZE
+        )
+
+    # Warm both paths, then alternate them so a slow spell of the host
+    # hits both sides alike.
+    lock_step()
+    per_row_oracle()
+    oracle_best = batch_best = np.inf
+    for _ in range(5):
+        start = time.perf_counter()
+        oracle_result = per_row_oracle()
+        oracle_best = min(oracle_best, time.perf_counter() - start)
+        start = time.perf_counter()
+        batch_result = lock_step()
+        batch_best = min(batch_best, time.perf_counter() - start)
+
+    np.testing.assert_array_equal(batch_result, oracle_result)
+    speedup = oracle_best / batch_best
+    record_benchmark(
+        "taint_batch_probability",
+        speedup=speedup,
+        loop_seconds=oracle_best,
+        batch_seconds=batch_best,
+        victims=num_victims,
+        n_groups=N_GROUPS,
+    )
+    print(
+        f"\ntaint_batch (probability): oracle {oracle_best * 1000:.1f} ms, "
+        f"lock-step {batch_best * 1000:.1f} ms, speedup {speedup:.1f}x "
+        f"({num_victims} victims)"
+    )
+    assert speedup >= 10.0

@@ -21,7 +21,25 @@ procedure for every (attack class x metric) combination:
   ``o_i`` with mode ``⌊(m+1)·g_i⌋``; the adversary pushes every entry toward
   its mode (free increases under Dec-Bounded) and then spends the decrease
   budget one node at a time on whichever group currently has the smallest
-  probability, stopping when the minimum can no longer be improved.
+  probability, stopping when the minimum can no longer be improved.  A
+  batch of victims steps in lock-step: each step is one masked ``argmin``
+  over the rows that can still progress (groups not above their mode are
+  keyed ``+inf``), moves one column per row by
+  ``min(1, o_i − mode_i, remaining)``, and recomputes only that column's
+  log-pmf.  Ties go to the lowest group index.
+
+The tie rule replaced the order of an unstable ``np.argsort``, which for
+100 groups is not index order.  The two rules pick different groups only
+when several groups share the smallest log-probability; in practice these
+are groups with ``µ_i = 0`` that the observation still counts (log-pmf
+``−inf``).  Such a group stays at ``−inf`` until it reaches its mode 0, so
+the greedy clears every one of them before it touches a finite group,
+whatever their order.  If the budget clears them all, the end state is the
+same under either rule; if it does not, some group stays at ``−inf`` and
+the score clips to :attr:`ProbabilityMetric.max_score` either way.  The
+Probability score is therefore unchanged, and so are the keys of the
+cached ``attacked_scores`` and ``temporal`` artifacts, which store scores
+rather than tainted observations.
 
 The tainted observations are real-valued by default (the paper's greedy sets
 ``o_i = µ_i`` exactly); ``integer_mode=True`` restricts the adversary to
@@ -134,6 +152,8 @@ class GreedyMetricMinimizer:
     ) -> np.ndarray:
         """Return the metric-minimising tainted observation for one victim.
 
+        The one-row case of :meth:`taint_batch`.
+
         Parameters
         ----------
         honest_observation:
@@ -151,22 +171,7 @@ class GreedyMetricMinimizer:
         mu = np.asarray(expected_observation, dtype=np.float64)
         if a.shape != mu.shape or a.ndim != 1:
             raise ValueError("observations must be matching 1-D vectors")
-        x = float(int(budget))
-
-        if isinstance(self.metric, DiffMetric):
-            tainted = self._taint_diff(a, mu, x, group_size)
-        elif isinstance(self.metric, AddAllMetric):
-            tainted = self._taint_add_all(a, mu, x)
-        elif isinstance(self.metric, ProbabilityMetric):
-            if group_size is None:
-                raise ValueError("group_size is required for the Probability metric")
-            tainted = self._taint_probability(a, mu, x, int(group_size))
-        else:  # pragma: no cover - future metrics fall back to "no taint"
-            tainted = a.copy()
-
-        if self.integer_mode:
-            tainted = self._round_feasible(a, tainted, x)
-        return tainted
+        return self.taint_batch(a[None], mu[None], [budget], group_size=group_size)[0]
 
     def taint_batch(
         self,
@@ -178,12 +183,11 @@ class GreedyMetricMinimizer:
     ) -> np.ndarray:
         """Taint a whole batch of victims at once.
 
-        For the Diff and Add-all metrics the allocation runs as one 2-D
-        :func:`_allocate_decreases` over all victims with per-row budgets —
-        bit-for-bit equal to calling :meth:`taint` per row, but without the
-        Python-level loop.  The Probability metric's sequential greedy (and
-        any future metric without a closed-form batch) falls back to the
-        per-row path.
+        Every metric runs over all victims together with per-row budgets:
+        the Diff and Add-all metrics as one 2-D :func:`_allocate_decreases`,
+        the Probability metric as the lock-step greedy of
+        :meth:`_taint_probability`.  Each row is bit-for-bit what the
+        greedy computes for that victim alone.
         """
         honest = np.asarray(honest_observations, dtype=np.float64)
         expected = np.asarray(expected_observations, dtype=np.float64)
@@ -191,26 +195,23 @@ class GreedyMetricMinimizer:
             raise ValueError("batch inputs must be matching (k, n_groups) arrays")
         if len(budgets) != honest.shape[0]:
             raise ValueError("need one budget per victim")
+        x = np.array([float(int(b)) for b in budgets], dtype=np.float64)
 
-        if isinstance(self.metric, (DiffMetric, AddAllMetric)):
-            x = np.array([float(int(b)) for b in budgets], dtype=np.float64)
-            if isinstance(self.metric, DiffMetric):
-                tainted = self._taint_diff(honest, expected, x, group_size)
-            else:
-                tainted = self._taint_add_all(honest, expected, x)
-            if self.integer_mode:
-                for row in range(honest.shape[0]):
-                    tainted[row] = self._round_feasible(
-                        honest[row], tainted[row], x[row]
-                    )
-            return tainted
+        if isinstance(self.metric, DiffMetric):
+            tainted = self._taint_diff(honest, expected, x, group_size)
+        elif isinstance(self.metric, AddAllMetric):
+            tainted = self._taint_add_all(honest, expected, x)
+        elif isinstance(self.metric, ProbabilityMetric):
+            if group_size is None:
+                raise ValueError("group_size is required for the Probability metric")
+            tainted = self._taint_probability(honest, expected, x, int(group_size))
+        else:  # pragma: no cover - future metrics fall back to "no taint"
+            tainted = honest.copy()
 
-        out = np.empty_like(honest)
-        for row in range(honest.shape[0]):
-            out[row] = self.taint(
-                honest[row], expected[row], budgets[row], group_size=group_size
-            )
-        return out
+        if self.integer_mode:
+            for row in range(honest.shape[0]):
+                tainted[row] = self._round_feasible(honest[row], tainted[row], x[row])
+        return tainted
 
     # -- per-metric strategies ------------------------------------------------
 
@@ -232,36 +233,50 @@ class GreedyMetricMinimizer:
         return _allocate_decreases(a.astype(np.float64), np.minimum(mu, a), x)
 
     def _taint_probability(
-        self, a: np.ndarray, mu: np.ndarray, x: float, group_size: int
+        self, a: np.ndarray, mu: np.ndarray, x, group_size: int
     ) -> np.ndarray:
+        """Probability-metric taint; shape-generic like :meth:`_taint_diff`.
+
+        All rows step in lock-step (see the module docstring): one masked
+        ``argmin`` per step over the rows that can still progress, after
+        which only the moved column of each row gets a fresh log-pmf.
+        """
+        single = a.ndim == 1
         m = float(group_size)
-        probs = np.clip(mu / m, 0.0, 1.0)
+        probs = np.clip(np.atleast_2d(mu) / m, 0.0, 1.0)
         modes = binomial_mode(m, probs)
 
-        o = a.astype(np.float64).copy()
+        o = np.atleast_2d(a).astype(np.float64)
         if self.attack_class.allows_increase:
             o = np.where(modes > o, modes, o)
+        remaining = np.full(o.shape[0], x, dtype=np.float64)
 
-        remaining = x
-        # Spend the decrease budget one node at a time on the group whose
-        # probability is currently the smallest, as long as decreasing that
-        # group moves it toward its mode.
-        while remaining > 0:
-            log_pmf = binomial_log_pmf(o, m, probs)
-            order = np.argsort(log_pmf)
-            progressed = False
-            for idx in order:
-                if o[idx] > modes[idx] and o[idx] > 0:
-                    step = min(1.0, o[idx] - modes[idx], remaining)
-                    if step <= 0:
-                        continue
-                    o[idx] -= step
-                    remaining -= step
-                    progressed = True
-                    break
-            if not progressed:
+        # Only a group above its mode can move toward it (modes are
+        # non-negative, so such a group still has a node to remove).
+        eligible = o > modes
+        key = np.where(eligible, binomial_log_pmf(o, m, probs), np.inf)
+        rows = np.flatnonzero((remaining > 0) & eligible.any(axis=1))
+        while rows.size:
+            # argmin returns the first minimum: ties go to the lowest index.
+            cols = np.argmin(key[rows], axis=1)
+            # A row whose minimum is ineligible has nothing left to lower.
+            movable = eligible[rows, cols]
+            rows, cols = rows[movable], cols[movable]
+            if not rows.size:
                 break
-        return o
+            step = np.minimum(
+                np.minimum(1.0, o[rows, cols] - modes[rows, cols]), remaining[rows]
+            )
+            o[rows, cols] -= step
+            remaining[rows] -= step
+            moved = o[rows, cols]
+            still = moved > modes[rows, cols]
+            eligible[rows, cols] = still
+            key[rows, cols] = np.where(
+                still, binomial_log_pmf(moved, m, probs[rows, cols]), np.inf
+            )
+            rows = rows[remaining[rows] > 0]
+        return o[0] if single else o
 
     # -- helpers ---------------------------------------------------------------
 
@@ -273,9 +288,10 @@ class GreedyMetricMinimizer:
         excess = decreases.sum() - x
         if excess <= 0:
             return rounded
-        # Give back whole-node decreases (smallest benefit first) until the
-        # budget constraint holds again.
-        order = np.argsort(decreases)
+        # Give back whole-node decreases, largest first, until the budget
+        # constraint holds again.  The stable sort makes equal decreases
+        # give back from the highest group index down.
+        order = np.argsort(decreases, kind="stable")
         for idx in order[::-1]:
             while decreases[idx] >= 1.0 and excess > 0:
                 rounded[idx] += 1.0

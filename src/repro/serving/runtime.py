@@ -33,7 +33,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.verdict import Verdict
@@ -129,7 +129,6 @@ class ServiceStats:
     batches: int = 0
     largest_batch: int = 0
     batched_claims: int = 0
-    latencies_ms: List[float] = field(default_factory=list, repr=False)
 
     @property
     def mean_batch_size(self) -> float:
@@ -137,7 +136,7 @@ class ServiceStats:
         return self.batched_claims / self.batches if self.batches else 0.0
 
     def as_dict(self) -> Dict[str, float]:
-        """Counter snapshot (without the raw latency samples)."""
+        """Counter snapshot."""
         return {
             "submitted": self.submitted,
             "completed": self.completed,
@@ -345,8 +344,6 @@ class ServiceRuntime:
         self.stats.batched_claims += len(batch)
         self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
         for verdict, (_, future, enqueued) in zip(verdicts, batch):
-            latency_ms = (finish - enqueued) * 1000.0
-            self.stats.latencies_ms.append(latency_ms)
             if not future.done():
-                future.set_result(verdict.with_latency(latency_ms))
+                future.set_result(verdict.with_latency((finish - enqueued) * 1000.0))
                 self.stats.completed += 1

@@ -6,6 +6,9 @@ import pytest
 from repro.attacks.constraints import DecBoundedAttack, DecOnlyAttack
 from repro.attacks.greedy import GreedyMetricMinimizer, taint_observation
 from repro.core.metrics import AddAllMetric, DiffMetric, ProbabilityMetric
+from repro.experiments.config import SimulationConfig
+from repro.experiments.figures import FIGURE_SPECS, run_figure_spec
+from tests.attacks.greedy_oracle import oracle_taint_batch
 
 GROUP_SIZE = 30
 
@@ -216,12 +219,12 @@ class TestIntegerModeAndBatch:
                 np.vstack([honest, honest]), np.vstack([expected, expected]), [5]
             )
 
-    @pytest.mark.parametrize("metric", ["diff", "add_all"])
+    @pytest.mark.parametrize("metric", ["diff", "add_all", "probability"])
     @pytest.mark.parametrize("attack", ["dec_bounded", "dec_only"])
     @pytest.mark.parametrize("integer_mode", [False, True])
     def test_vectorised_batch_equals_loop_bitwise(self, metric, attack, integer_mode):
-        """The 2-D allocation over all victims at once must reproduce the
-        per-row :meth:`taint` loop bit for bit (not just approximately)."""
+        """One pass over all victims at once must reproduce the per-row
+        oracle bit for bit (not just approximately)."""
         rng = np.random.default_rng(20050404)
         k, n = 64, 25
         honest = np.round(rng.uniform(0.0, 30.0, size=(k, n)))
@@ -233,37 +236,60 @@ class TestIntegerModeAndBatch:
         honest[1] = honest[2]
         expected[1] = expected[2]
         budgets[1] = budgets[2]
+        # Tied -inf log-pmf: counted groups expected to hold no node, with
+        # a budget too small to clear them (row 3) and one beyond every gap
+        # (row 4).
+        expected[3:5, ::3] = 0.0
+        honest[3:5, ::3] = 4.0
+        budgets[3], budgets[4] = 5, 10_000
+        # Fractional steps: non-integer counts end less than one node above
+        # their mode (row 5).  Whole-number expectations repeat log-pmf
+        # values across groups (row 6).
+        honest[5] = np.round(honest[5]) + 0.25
+        expected[6] = np.round(expected[6])
         adversary = GreedyMetricMinimizer(metric, attack, integer_mode=integer_mode)
         batch = adversary.taint_batch(honest, expected, budgets, group_size=GROUP_SIZE)
-        loop = np.vstack(
-            [
-                adversary.taint(
-                    honest[i], expected[i], budgets[i], group_size=GROUP_SIZE
-                )
-                for i in range(k)
-            ]
+        loop = oracle_taint_batch(
+            adversary, honest, expected, budgets, group_size=GROUP_SIZE
         )
         np.testing.assert_array_equal(batch, loop)
 
-    def test_probability_batch_still_matches_loop(self):
-        """The probability metric keeps the per-row greedy; the batch path
-        must stay the trivial loop wrapper."""
-        rng = np.random.default_rng(99)
-        k, n = 8, 10
-        honest = np.round(rng.uniform(0.0, 20.0, size=(k, n)))
-        expected = rng.uniform(0.0, 20.0, size=(k, n))
-        budgets = [int(b) for b in rng.integers(0, 30, size=k)]
-        adversary = GreedyMetricMinimizer("probability", "dec_bounded")
-        batch = adversary.taint_batch(honest, expected, budgets, group_size=GROUP_SIZE)
-        loop = np.vstack(
-            [
-                adversary.taint(
-                    honest[i], expected[i], budgets[i], group_size=GROUP_SIZE
-                )
-                for i in range(k)
-            ]
-        )
-        np.testing.assert_array_equal(batch, loop)
+    @pytest.mark.parametrize("attack", ["dec_bounded", "dec_only"])
+    def test_probability_ties_go_to_lowest_group_index(self, attack):
+        """Tied minima resolve to the lowest group index.
+
+        Eleven of 100 groups are counted but expected empty (log-pmf -inf,
+        mode 0); a budget of 7 cannot clear them, so the greedy must lower
+        groups 3, 9 and 17 to zero and take one node from group 20.
+        """
+        group_size = 40
+        expected = np.full(100, 12.0)
+        honest = np.full(100, 12.0)
+        tied = [3, 9, 17, 20, 30, 41, 55, 62, 77, 88, 95]
+        expected[tied] = 0.0
+        honest[tied] = 2.0
+        adversary = GreedyMetricMinimizer("probability", attack)
+        tainted = adversary.taint(honest, expected, 7, group_size=group_size)
+        want = honest.copy()
+        want[[3, 9, 17]] = 0.0
+        want[20] = 1.0
+        np.testing.assert_array_equal(tainted, want)
+        assert ProbabilityMetric().compute(
+            tainted, expected, group_size=group_size
+        ) == ProbabilityMetric.max_score
+
+    def test_integer_mode_gives_back_ties_from_highest_index(self):
+        """Rounding 50 equal decreases of 1.5 to 2 nodes each overshoots a
+        budget of 75 by 25: the give-back runs from group 49 down, so
+        groups 38-49 get both nodes back and group 37 one of them."""
+        honest = np.full(100, 10.0)
+        expected = np.full(100, 8.5)
+        adversary = GreedyMetricMinimizer("diff", "dec_only", integer_mode=True)
+        tainted = adversary.taint(honest, expected, 75, group_size=GROUP_SIZE)
+        want = np.full(100, 10.0)
+        want[:37] = 8.0
+        want[37] = 9.0
+        np.testing.assert_array_equal(tainted, want)
 
     def test_functional_wrapper(self, scenario):
         honest, expected = scenario
@@ -278,3 +304,14 @@ class TestIntegerModeAndBatch:
         adversary = GreedyMetricMinimizer("diff", "dec_bounded")
         with pytest.raises(ValueError):
             adversary.taint(honest, expected[:-1], 5)
+
+
+def test_fig4_render_unchanged_under_the_per_row_oracle(monkeypatch):
+    """A whole Figure 4 render (all three metrics under the greedy) gives
+    the same JSON whether taint_batch runs the batch path or the per-row
+    oracle."""
+    spec = FIGURE_SPECS["fig4"](config=SimulationConfig(seed=11), scale=0.05)
+    batched = run_figure_spec(spec, figure_id="fig4").to_json()
+    monkeypatch.setattr(GreedyMetricMinimizer, "taint_batch", oracle_taint_batch)
+    per_row = run_figure_spec(spec, figure_id="fig4").to_json()
+    assert per_row == batched

@@ -144,7 +144,25 @@ class TestMicroBatching:
         assert stats.mean_batch_size == pytest.approx(
             20 / len(service.batches)
         )
-        assert len(stats.latencies_ms) == 20
+
+    def test_stats_stay_scalar_over_many_claims(self):
+        """A long-lived runtime keeps no per-claim state: after 10^4
+        claims its stats still hold only the scalar counters."""
+        service = FakeService()
+        num_claims = 10_000
+
+        async def run():
+            config = ServingConfig(max_batch_size=256, overflow="block")
+            async with ServiceRuntime(service, config) as runtime:
+                await asyncio.gather(
+                    *[runtime.submit(_claim(1.0)) for _ in range(num_claims)]
+                )
+                return runtime.stats
+
+        stats = asyncio.run(run())
+        assert stats.completed == num_claims
+        assert sum(service.batches) == num_claims
+        assert {type(value) for value in vars(stats).values()} == {int}
 
 
 class TestBackpressure:
