@@ -25,7 +25,7 @@ from repro.attacks.base import AttackBudget
 from repro.attacks.greedy import GreedyMetricMinimizer
 from repro.attacks.localization_attacks import DisplacementAttack
 from repro.attacks.primitives import SilenceAttack
-from repro.core.evaluation import detection_rate_at_false_positive
+from repro.core.evaluation import evaluate_detection
 from repro.core.metrics import DiffMetric
 from repro.experiments.session import LadSession
 from tests.attacks.greedy_oracle import oracle_taint_batch
@@ -72,15 +72,14 @@ def _detection_rates(simulation: LadSession) -> dict:
     scores_greedy = metric.compute(tainted, expected, knowledge.group_size)
 
     return {
-        "no adversary on detection": detection_rate_at_false_positive(
-            benign, scores_none, FALSE_POSITIVE
-        )[0],
-        "naive silence attack": detection_rate_at_false_positive(
-            benign, scores_silence, FALSE_POSITIVE
-        )[0],
-        "greedy Diff-minimising": detection_rate_at_false_positive(
-            benign, scores_greedy, FALSE_POSITIVE
-        )[0],
+        label: evaluate_detection(
+            benign, scores, false_positive_rate=FALSE_POSITIVE
+        ).detection_rate
+        for label, scores in (
+            ("no adversary on detection", scores_none),
+            ("naive silence attack", scores_silence),
+            ("greedy Diff-minimising", scores_greedy),
+        )
     }
 
 

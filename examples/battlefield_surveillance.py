@@ -29,11 +29,12 @@ from repro import (
     AttackBudget,
     DisplacementAttack,
     GreedyMetricMinimizer,
-    LADDetector,
     NeighborIndex,
     NetworkGenerator,
     UnitDiskRadio,
+    benign_scores,
     collect_training_data,
+    derive_threshold,
     paper_deployment_model,
 )
 from repro.applications.surveillance import SurveillanceField
@@ -54,15 +55,15 @@ def main() -> None:
     index = NeighborIndex(network)
 
     training = collect_training_data(
-        generator, num_samples=200, samples_per_network=100, rng=21
+        generator,
+        num_samples=200,
+        samples_per_network=100,
+        rng=21,
+        knowledge=knowledge,
     )
-    detector = LADDetector.from_training_data(
-        knowledge, training, metric=repro.metrics.create("diff"), tau=0.99
-    )
-    print(
-        f"network: {network.num_nodes} sensors; "
-        f"Diff threshold {detector.threshold:.1f}"
-    )
+    metric = repro.metrics.create("diff")
+    threshold = derive_threshold(benign_scores(training, knowledge, metric), 0.99)
+    print(f"network: {network.num_nodes} sensors; Diff threshold {threshold:.1f}")
 
     # --- adversary corrupts a subset of the sensors' derived locations -----
     believed = network.positions.copy()
@@ -74,9 +75,7 @@ def main() -> None:
     believed[attacked_nodes] = displacement.spoof_locations(
         network.positions[attacked_nodes], rng, region=network.region
     )
-    adversary = GreedyMetricMinimizer(
-        repro.metrics.create("diff"), repro.attacks.create("dec_bounded")
-    )
+    adversary = GreedyMetricMinimizer(metric, repro.attacks.create("dec_bounded"))
     expected = knowledge.expected_observation(believed[attacked_nodes])
     budgets = [
         AttackBudget.from_fraction(int(observations[node].sum()), COMPROMISED_NEIGHBORS)
@@ -91,7 +90,7 @@ def main() -> None:
     )
 
     # --- every sensor runs LAD on its own derived location ------------------
-    alarms = detector.detect_batch(believed, observations)
+    alarms = metric.score(knowledge, believed, observations) > threshold
     flagged_attacked = alarms[attacked_nodes].mean()
     flagged_honest = np.delete(alarms, attacked_nodes).mean()
     print(

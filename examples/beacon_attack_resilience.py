@@ -25,11 +25,13 @@ import numpy as np
 import repro.localization
 from repro import (
     BeaconInfrastructure,
-    LADDetector,
+    DiffMetric,
     NeighborIndex,
     NetworkGenerator,
     UnitDiskRadio,
+    benign_scores,
     collect_training_data,
+    derive_threshold,
     localization_errors,
     paper_deployment_model,
 )
@@ -79,14 +81,14 @@ def main() -> None:
 
     # Train LAD (scheme-independent: it only needs deployment knowledge).
     training = collect_training_data(
-        generator, num_samples=200, samples_per_network=100, rng=53
+        generator,
+        num_samples=200,
+        samples_per_network=100,
+        rng=53,
+        knowledge=knowledge,
     )
-    detector = LADDetector.from_training_data(
-        knowledge,
-        training,
-        metric="diff",
-        tau=0.99,
-    )
+    metric = DiffMetric()
+    threshold = derive_threshold(benign_scores(training, knowledge, metric), 0.99)
 
     nodes = rng.choice(network.num_nodes, size=NUM_SENSORS, replace=False)
     observations = index.observations_of_nodes(nodes)
@@ -111,7 +113,7 @@ def main() -> None:
         for label, infra in (("honest", beacons), ("1 lying", lying)):
             estimates = _localize_all(scheme, infra, network, nodes, rng)
             errors = localization_errors(estimates, truths)
-            alarms = detector.detect_batch(estimates, observations)
+            alarms = metric.score(knowledge, estimates, observations) > threshold
             print(
                 f"{name:<22}{label:<12}{errors.mean():>13.1f}{errors.max():>13.1f}"
                 f"{alarms.mean():>12.0%}"

@@ -22,12 +22,14 @@ import numpy as np
 
 import repro.localization
 from repro import (
+    DiffMetric,
     DisplacementAttack,
-    LADDetector,
     NeighborIndex,
     NetworkGenerator,
     UnitDiskRadio,
+    benign_scores,
     collect_training_data,
+    derive_threshold,
     paper_deployment_model,
 )
 from repro.applications.routing import evaluate_routing
@@ -47,16 +49,12 @@ def main() -> None:
     index = NeighborIndex(network)
     print(f"network: {network.num_nodes} sensors, radio range 100 m")
 
-    # Train the detector and the fallback localizer.
+    # Train the Diff-metric threshold and the fallback localizer.
     training = collect_training_data(
-        generator, num_samples=150, samples_per_network=75, rng=31
+        generator, num_samples=150, samples_per_network=75, rng=31, knowledge=knowledge
     )
-    detector = LADDetector.from_training_data(
-        knowledge,
-        training,
-        metric="diff",
-        tau=0.99,
-    )
+    metric = DiffMetric()
+    threshold = derive_threshold(benign_scores(training, knowledge, metric), 0.99)
     localizer = repro.localization.create("beaconless")
 
     # Honest believed locations = true positions (idealised localization).
@@ -77,7 +75,7 @@ def main() -> None:
     # against its observation; on an alarm it re-localises with the
     # beaconless scheme (which only uses its own honest observation).
     observations = index.observations_of_nodes(np.arange(network.num_nodes))
-    alarms = detector.detect_batch(attacked_positions, observations)
+    alarms = metric.score(knowledge, attacked_positions, observations) > threshold
     protected_positions = attacked_positions.copy()
     flagged = np.flatnonzero(alarms)
     if flagged.size:

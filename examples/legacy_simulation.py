@@ -3,18 +3,26 @@
 
 ``LadSimulation`` and ``get_metric`` shipped as one-release deprecation
 shims after the scenario API landed; that release has passed and both are
-now gone.  This example (still run by CI) is the migration reference: it
-exercises the replacements side by side and asserts the equivalences the
-shims used to guarantee, so anyone landing here from an old script sees
-exactly what to write instead:
+now gone, as are the second detector (``LADDetector``) and the duplicate
+readers of one operating point.  This example (run by CI) is the
+migration reference: it runs the session and spec replacements side by
+side and asserts that they agree, and the table maps every removed name
+to what to write instead:
 
-====================================  ====================================
-removed                               replacement
-====================================  ====================================
-``LadSimulation(config)``             ``LadSession(config)``
-``get_metric("diff")``                ``repro.metrics.create("diff")``
-bespoke sweep drivers                 ``ScenarioSpec`` + ``lad-repro sweep``
-====================================  ====================================
+=====================================  ==========================================
+removed                                replacement
+=====================================  ==========================================
+``LadSimulation(config)``              ``LadSession(config)``
+``get_metric("diff")``                 ``repro.metrics.create("diff")``
+bespoke sweep drivers                  ``ScenarioSpec`` + ``lad-repro sweep``
+``session.detection_rate(...)``        ``session.outcome(...)``
+``rate, thr = outcome``                ``outcome.detection_rate``/``.threshold``
+``detection_rate_at_false_positive``   ``evaluate_detection(...).detection_rate``
+``ThresholdTable``, ``LADDetector``    ``derive_threshold(benign_scores(...))``
+``LADDetector.detect``                 ``DetectionService.verify(LocationClaim)``
+``LADDetector.detect_batch``           ``metric.score(...) > threshold``
+``attacked_scores_for_victims``        ``attacked_scores_from_observations``
+=====================================  ==========================================
 
 Run with::
 
@@ -42,13 +50,16 @@ def main() -> None:
     # ``get_metric("diff")`` -> the metric registry.  Instances and names
     # are interchangeable everywhere a metric is accepted.
     metric = repro.metrics.create("diff")
+
+    # ``session.detection_rate(...)`` and tuple unpacking -> ``outcome``
+    # read by field name.
     session = LadSession(CONFIG)
-    by_instance, _ = session.detection_rate(
+    by_instance = session.outcome(
         metric, "dec_bounded", degree_of_damage=160.0, compromised_fraction=0.1
-    )
-    by_name, _ = session.detection_rate(
+    ).detection_rate
+    by_name = session.outcome(
         "diff", "dec_bounded", degree_of_damage=160.0, compromised_fraction=0.1
-    )
+    ).detection_rate
     assert by_instance == by_name
 
     # Bespoke sweep drivers -> a declarative spec over the same session.
@@ -60,7 +71,8 @@ def main() -> None:
         config=CONFIG,
     )
     rates = spec.session().sweep().detection_rates(spec.points())
-    (spec_rate, _), = rates.values()
+    (outcome,) = rates.values()
+    spec_rate = outcome.detection_rate
     np.testing.assert_allclose(spec_rate, by_name)
 
     print(f"session detection rate @1% FP: {by_name:.3f}")

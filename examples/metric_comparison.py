@@ -53,7 +53,7 @@ def main() -> None:
     )
 
     def rate(metric: str, attack: str, degree: float) -> float:
-        return rates[SweepPoint(metric, attack, degree, fraction)][0]
+        return rates[SweepPoint(metric, attack, degree, fraction)].detection_rate
 
     print()
     print("Detection rate at 1% FP, greedy Dec-Bounded adversary (cf. Figure 4):")

@@ -9,7 +9,8 @@ This walks through the whole pipeline of the paper on a single network:
 3. train the LAD detection threshold on benign simulated deployments;
 4. simulate a localization attack (a D-anomaly) plus a greedy Dec-Bounded
    adversary tainting the victim's observation;
-5. run the LAD detector on both the benign and the attacked case.
+5. verify both the benign and the attacked location claim with the LAD
+   detector, :class:`~repro.serving.DetectionService`.
 
 Run with::
 
@@ -24,13 +25,16 @@ import repro.localization
 import repro.metrics
 from repro import (
     AttackBudget,
+    DetectionService,
     DisplacementAttack,
     GreedyMetricMinimizer,
-    LADDetector,
+    LocationClaim,
     NeighborIndex,
     NetworkGenerator,
     UnitDiskRadio,
+    benign_scores,
     collect_training_data,
+    derive_threshold,
     localization_error,
     paper_deployment_model,
 )
@@ -63,23 +67,31 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------- train
+    # The threshold is the tau-percentile of the benign training scores
+    # (paper Section 5.5); the detector serves claims against it.
     training = collect_training_data(
-        generator, num_samples=200, samples_per_network=100, rng=11
+        generator,
+        num_samples=200,
+        samples_per_network=100,
+        rng=11,
+        knowledge=knowledge,
     )
-    detector = LADDetector.from_training_data(
-        knowledge, training, metric=repro.metrics.create("diff"), tau=0.99
-    )
+    metric = repro.metrics.create("diff")
+    threshold = derive_threshold(benign_scores(training, knowledge, metric), 0.99)
+    detector = DetectionService(knowledge, thresholds={metric.name: threshold})
     print(
-        f"trained Diff-metric threshold: {detector.threshold:.1f} "
+        f"trained Diff-metric threshold: {threshold:.1f} "
         f"(tau=99%, benign localization error "
         f"{training.localization_errors().mean():.1f} m on average)"
     )
 
     # ------------------------------------------------------- benign detection
-    benign_report = detector.detect(estimate, observation)
+    benign_verdict = detector.verify(
+        LocationClaim(observation=observation, claimed_location=estimate)
+    )
     print(
-        f"benign check: score {benign_report.score:.1f} vs threshold "
-        f"{benign_report.threshold:.1f} -> anomalous={benign_report.anomalous}"
+        f"benign check: score {benign_verdict.score:.1f} vs threshold "
+        f"{benign_verdict.threshold:.1f} -> anomalous={benign_verdict.anomalous}"
     )
 
     # ------------------------------------------------------------------ attack
@@ -102,12 +114,14 @@ def main() -> None:
     )
 
     # ---------------------------------------------------------- LAD detection
-    attack_report = detector.detect(spoofed, tainted)
-    print(
-        f"attacked check: score {attack_report.score:.1f} vs threshold "
-        f"{attack_report.threshold:.1f} -> anomalous={attack_report.anomalous}"
+    attack_verdict = detector.verify(
+        LocationClaim(observation=tainted, claimed_location=spoofed)
     )
-    if attack_report.anomalous:
+    print(
+        f"attacked check: score {attack_verdict.score:.1f} vs threshold "
+        f"{attack_verdict.threshold:.1f} -> anomalous={attack_verdict.anomalous}"
+    )
+    if attack_verdict.anomalous:
         print("LAD correctly flagged the spoofed location.")
     else:
         print("the attack evaded detection this time (small-D attacks sometimes do).")

@@ -15,14 +15,14 @@ The package is organised bottom-up:
   displacement);
 * :mod:`repro.core` — the LAD detection scheme itself (expected
   observations, the Diff / Add-all / Probability metrics, threshold
-  training, the detector, ROC evaluation);
+  training, verdicts, ROC evaluation);
 * :mod:`repro.experiments` — the scenario API (``LadSession`` cached
   evaluation state, declarative ``ScenarioSpec`` sweeps, the artifact
   store) that regenerates every figure of the paper's evaluation section;
 * :mod:`repro.events` — the discrete-event temporal engine (timelines of
   mobility, churn, beacon failures and mid-run attacks replayed through
   per-epoch re-localization, with online detection-latency metrics);
-* :mod:`repro.serving` — the streaming detection service
+* :mod:`repro.serving` — the detector and its streaming front
   (``DetectionService`` vectorised claim verification, the asyncio
   micro-batching runtime with backpressure, JSONL transports and the
   load generator behind ``lad-repro serve`` / ``lad-repro loadgen``);
@@ -106,14 +106,11 @@ from repro.core import (
     AddAllMetric,
     ProbabilityMetric,
     resolve_metric,
-    LADDetector,
-    ThresholdTable,
+    derive_threshold,
     collect_training_data,
     benign_scores,
     compute_roc,
     RocCurve,
-    attacked_scores_for_victims,
-    detection_rate_at_false_positive,
     evaluate_detection,
     Verdict,
     verdicts_from_scores,
@@ -235,14 +232,11 @@ __all__ = [
     "AddAllMetric",
     "ProbabilityMetric",
     "resolve_metric",
-    "LADDetector",
-    "ThresholdTable",
+    "derive_threshold",
     "collect_training_data",
     "benign_scores",
     "compute_roc",
     "RocCurve",
-    "attacked_scores_for_victims",
-    "detection_rate_at_false_positive",
     "evaluate_detection",
     "Verdict",
     "verdicts_from_scores",

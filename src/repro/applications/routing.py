@@ -7,7 +7,8 @@ forwarding loops, detours or dead-ends.  This module implements plain greedy
 forwarding (the common core of GPSR-style protocols, without perimeter
 recovery) so the ``geographic_routing`` example can measure delivery rate
 and path stretch with honest locations, with attacked locations, and with
-attacked locations filtered by a :class:`~repro.core.detector.LADDetector`.
+attacked locations filtered by the LAD check (Diff-metric scores against
+the trained threshold).
 """
 
 from __future__ import annotations

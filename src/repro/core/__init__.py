@@ -9,7 +9,12 @@ The pipeline is:
 3. compare the score against a threshold trained on benign deployments
    (:mod:`repro.core.training`, :mod:`repro.core.thresholds`);
 4. raise an alarm when the score exceeds the threshold
-   (:mod:`repro.core.detector`).
+   (:class:`~repro.core.verdict.Verdict`).
+
+Steps 1–2 are :meth:`AnomalyMetric.score
+<repro.core.metrics.AnomalyMetric.score>`, the one batch-scoring path.
+The detector that runs all four steps on location claims is
+:class:`repro.serving.DetectionService`.
 
 :mod:`repro.core.roc` and :mod:`repro.core.evaluation` provide the
 evaluation machinery (ROC curves, detection rate / false-positive rate under
@@ -25,15 +30,12 @@ from repro.core.metrics import (
     resolve_metric,
     ALL_METRICS,
 )
-from repro.core.thresholds import derive_threshold, ThresholdTable
+from repro.core.thresholds import derive_threshold
 from repro.core.verdict import Verdict, verdicts_from_scores
 from repro.core.training import TrainingData, collect_training_data, benign_scores
-from repro.core.detector import LADDetector, DetectionReport
 from repro.core.roc import RocCurve, compute_roc
 from repro.core.evaluation import (
     attacked_scores_from_observations,
-    attacked_scores_for_victims,
-    detection_rate_at_false_positive,
     evaluate_detection,
     DetectionOutcome,
 )
@@ -47,19 +49,14 @@ __all__ = [
     "resolve_metric",
     "ALL_METRICS",
     "derive_threshold",
-    "ThresholdTable",
     "Verdict",
     "verdicts_from_scores",
     "TrainingData",
     "collect_training_data",
     "benign_scores",
-    "LADDetector",
-    "DetectionReport",
     "RocCurve",
     "compute_roc",
     "attacked_scores_from_observations",
-    "attacked_scores_for_victims",
-    "detection_rate_at_false_positive",
     "evaluate_detection",
     "DetectionOutcome",
 ]

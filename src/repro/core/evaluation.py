@@ -21,16 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Union
 
 import numpy as np
 
 from repro.core.metrics import AnomalyMetric, resolve_metric
 from repro.core.roc import RocCurve, compute_roc
+from repro.core.thresholds import derive_threshold
 from repro.core.verdict import Verdict, verdicts_from_scores
 from repro.deployment.knowledge import DeploymentKnowledge
-from repro.network.neighbors import NeighborIndex
-from repro.network.network import SensorNetwork
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_fraction, check_positive
 
@@ -41,21 +40,19 @@ __all__ = [
     "DetectionOutcome",
     "attack_observations",
     "attacked_scores_from_observations",
-    "attacked_scores_for_victims",
-    "detection_rate_at_false_positive",
     "evaluate_detection",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class DetectionOutcome:
-    """Full result of one detection evaluation — the batch-path verdict type.
+    """Full result of one detection evaluation — the one operating-point record.
 
-    This is what :meth:`LadSession.outcome` and
-    :meth:`LadSession.detection_rate` return, and what
-    :meth:`SweepRunner.detection_rates` maps every sweep point to.  It
-    carries the operating point (detection rate, threshold, false-positive
-    budget), the underlying score samples, and — via :meth:`verdicts` —
+    :func:`evaluate_detection` builds it; :meth:`LadSession.outcome`
+    returns it, and :meth:`SweepRunner.detection_rates` maps every sweep
+    point to it.  Read the operating point by name (``.detection_rate``,
+    ``.threshold``, ``.false_positive_rate``).  It also carries the
+    underlying score samples and — via :meth:`verdicts` —
     the same per-decision :class:`~repro.core.verdict.Verdict` objects the
     online :class:`~repro.serving.DetectionService` emits, so offline and
     online decisions are comparable by construction.
@@ -100,14 +97,6 @@ class DetectionOutcome:
             metric=self.metric,
             false_positive_rate=self.false_positive_rate,
         )
-
-    def __iter__(self):
-        """Unpack as ``(detection_rate, threshold)``.
-
-        Kept so the historical tuple idiom ``rate, thr = outcome`` keeps
-        reading the documented operating point.
-        """
-        return iter((self.detection_rate, self.threshold))
 
     def __eq__(self, other):
         """Value equality, with the score arrays compared elementwise.
@@ -155,9 +144,11 @@ def attacked_scores_from_observations(
         Honest observation vectors ``a``, shape ``(k, n_groups)``.
     actual_locations:
         The victims' actual locations ``L_a``, shape ``(k, 2)``.
-    metric, attack_class, degree_of_damage, compromised_fraction, rng, localizer:
-        As in :func:`attacked_scores_for_victims` /
-        :func:`attack_observations`.
+    metric:
+        The detection metric under evaluation (the greedy adversary
+        minimises this same metric — the worst case for the defender).
+    attack_class, degree_of_damage, compromised_fraction, rng, localizer:
+        As in :func:`attack_observations`.
     """
     metric = resolve_metric(metric)
     tainted, spoofed, expected = attack_observations(
@@ -242,86 +233,6 @@ def attack_observations(
     return tainted, spoofed, expected
 
 
-def attacked_scores_for_victims(
-    network: SensorNetwork,
-    knowledge: DeploymentKnowledge,
-    victims: Sequence[int],
-    *,
-    metric: Union[str, AnomalyMetric],
-    attack_class: Union[str, AttackClass] = "dec_bounded",
-    degree_of_damage: float = 120.0,
-    compromised_fraction: float = 0.10,
-    index: Optional[NeighborIndex] = None,
-    rng=None,
-    localizer=None,
-) -> np.ndarray:
-    """Anomaly scores of attacked victims (Section 7.1 procedure).
-
-    Parameters
-    ----------
-    network:
-        A deployed sensor network.
-    knowledge:
-        The matching deployment knowledge.
-    victims:
-        Node indices to attack.
-    metric:
-        The detection metric under evaluation (the greedy adversary
-        minimises this same metric — the worst case for the defender).
-    attack_class:
-        ``"dec_bounded"`` (default, the stronger adversary) or
-        ``"dec_only"``.
-    degree_of_damage:
-        The attack's targeted localization error ``D`` in metres.
-    compromised_fraction:
-        Fraction ``x`` of each victim's neighbours under adversary control.
-    index:
-        Optional pre-built neighbour index for *network*.
-    rng:
-        Seed or generator.
-    localizer:
-        The localization scheme under attack (modality-targeted attack
-        classes gate their displacement on it; ``None`` = abstract
-        D-attack).
-    """
-    idx = index or NeighborIndex(network)
-    victims = np.asarray(victims, dtype=np.int64)
-    honest = idx.observations_of_nodes(victims)
-    actual = network.positions[victims]
-    return attacked_scores_from_observations(
-        knowledge,
-        honest,
-        actual,
-        metric=metric,
-        attack_class=attack_class,
-        degree_of_damage=degree_of_damage,
-        compromised_fraction=compromised_fraction,
-        rng=rng,
-        localizer=localizer,
-    )
-
-
-def detection_rate_at_false_positive(
-    benign_scores: np.ndarray,
-    attacked_scores: np.ndarray,
-    false_positive_rate: float = 0.01,
-) -> tuple[float, float]:
-    """Detection rate (and the threshold used) at a false-positive budget.
-
-    The threshold is set to the tightest value whose benign false-positive
-    rate does not exceed the budget — exactly the ``τ``-percentile training
-    rule of Section 5.5 applied to the benign sample.
-    """
-    check_fraction("false_positive_rate", false_positive_rate)
-    benign_scores = np.asarray(benign_scores, dtype=np.float64)
-    attacked_scores = np.asarray(attacked_scores, dtype=np.float64)
-    from repro.core.thresholds import derive_threshold
-
-    threshold = derive_threshold(benign_scores, 1.0 - false_positive_rate)
-    detection_rate = float(np.mean(attacked_scores > threshold))
-    return detection_rate, threshold
-
-
 def evaluate_detection(
     benign_scores: np.ndarray,
     attacked_scores: np.ndarray,
@@ -329,16 +240,21 @@ def evaluate_detection(
     false_positive_rate: float = 0.01,
     metric: Union[str, AnomalyMetric, None] = None,
 ) -> DetectionOutcome:
-    """Bundle a fixed-FP operating point (plus a lazy ROC) into one outcome."""
+    """Bundle a fixed-FP operating point (plus a lazy ROC) into one outcome.
+
+    The threshold is set to the tightest value whose benign false-positive
+    rate does not exceed the budget — exactly the ``τ``-percentile training
+    rule of Section 5.5 applied to the benign sample — and the detection
+    rate is the fraction of attacked scores above it.
+    """
+    check_fraction("false_positive_rate", false_positive_rate)
     benign_scores = np.asarray(benign_scores, dtype=np.float64)
     attacked_scores = np.asarray(attacked_scores, dtype=np.float64)
-    detection_rate, threshold = detection_rate_at_false_positive(
-        benign_scores, attacked_scores, false_positive_rate
-    )
+    threshold = derive_threshold(benign_scores, 1.0 - false_positive_rate)
     return DetectionOutcome(
         benign_scores=benign_scores,
         attacked_scores=attacked_scores,
-        detection_rate=detection_rate,
+        detection_rate=float(np.mean(attacked_scores > threshold)),
         false_positive_rate=false_positive_rate,
         threshold=threshold,
         metric="" if metric is None else resolve_metric(metric).name,

@@ -13,8 +13,9 @@ single thresholding rule ("alarm when score > threshold") applies uniformly:
   curves.
 
 Every metric exposes a vectorised ``compute`` over batches of
-``(observation, expected)`` rows plus a convenience ``score`` that takes a
-:class:`~repro.deployment.knowledge.DeploymentKnowledge` and locations.
+``(observation, expected)`` rows, and ``score``, which takes a
+:class:`~repro.deployment.knowledge.DeploymentKnowledge` and locations and
+is the one path that turns claims into scores.
 """
 
 from __future__ import annotations
@@ -101,10 +102,20 @@ class AnomalyMetric(abc.ABC):
         knowledge: DeploymentKnowledge,
         locations,
         observations: np.ndarray,
-    ) -> Union[float, np.ndarray]:
-        """Score *observations* against the expectations at *locations*."""
+    ) -> np.ndarray:
+        """Score *observations* against the expectations at *locations*.
+
+        This is the one batch-scoring path: benign training scores, the
+        temporal engine's benign epochs and every served claim go through
+        it.  (Attacked scores call ``compute`` on the ``µ`` the attack
+        already evaluated at the spoofed locations.)  Returns float64
+        scores, shape ``(k,)`` for a batch.
+        """
         expected = knowledge.expected_observation(locations)
-        return self.compute(observations, expected, group_size=knowledge.group_size)
+        return np.asarray(
+            self.compute(observations, expected, group_size=knowledge.group_size),
+            dtype=np.float64,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

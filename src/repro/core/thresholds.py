@@ -8,16 +8,12 @@ would (nominally) raise a false alarm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Union
-
 import numpy as np
 
-from repro.core.metrics import AnomalyMetric, resolve_metric
 from repro.utils.stats import empirical_percentile
 from repro.utils.validation import check_probability
 
-__all__ = ["derive_threshold", "ThresholdTable"]
+__all__ = ["derive_threshold"]
 
 
 def derive_threshold(benign_scores: np.ndarray, tau: float = 0.99) -> float:
@@ -33,48 +29,3 @@ def derive_threshold(benign_scores: np.ndarray, tau: float = 0.99) -> float:
     """
     check_probability("tau", tau)
     return empirical_percentile(np.asarray(benign_scores, dtype=np.float64), tau)
-
-
-@dataclass
-class ThresholdTable:
-    """Trained thresholds for several metrics at several ``τ`` levels.
-
-    The table stores the raw benign scores per metric, so thresholds for new
-    ``τ`` values (equivalently, new nominal false-positive rates) can be read
-    off without re-running the training simulation.
-    """
-
-    benign_scores: Dict[str, np.ndarray] = field(default_factory=dict)
-
-    def add_metric(self, metric: Union[str, AnomalyMetric], scores: np.ndarray) -> None:
-        """Record the benign training scores of one metric."""
-        metric = resolve_metric(metric)
-        scores = np.asarray(scores, dtype=np.float64)
-        if scores.size == 0:
-            raise ValueError("cannot train a threshold on an empty score sample")
-        self.benign_scores[metric.name] = scores
-
-    def metrics(self) -> Iterable[str]:
-        """Names of the metrics with recorded training scores."""
-        return self.benign_scores.keys()
-
-    def threshold(self, metric: Union[str, AnomalyMetric], tau: float = 0.99) -> float:
-        """Threshold of *metric* at training percentile *tau*."""
-        metric = resolve_metric(metric)
-        if metric.name not in self.benign_scores:
-            raise KeyError(f"no training scores recorded for metric {metric.name!r}")
-        return derive_threshold(self.benign_scores[metric.name], tau)
-
-    def threshold_for_false_positive(
-        self, metric: Union[str, AnomalyMetric], false_positive_rate: float
-    ) -> float:
-        """Threshold whose nominal false-positive rate is *false_positive_rate*."""
-        check_probability("false_positive_rate", false_positive_rate)
-        return self.threshold(metric, tau=1.0 - false_positive_rate)
-
-    def as_dict(self, tau: float = 0.99) -> Mapping[str, float]:
-        """Thresholds of every recorded metric at percentile *tau*."""
-        return {
-            name: derive_threshold(scores, tau)
-            for name, scores in self.benign_scores.items()
-        }

@@ -203,8 +203,6 @@ def benign_scores(
     metric: Union[str, AnomalyMetric],
 ) -> np.ndarray:
     """Metric scores of the benign training samples (larger = more anomalous)."""
-    metric = resolve_metric(metric)
-    expected = knowledge.expected_observation(training.estimated_locations)
-    return np.asarray(
-        metric.compute(training.observations, expected, group_size=knowledge.group_size)
+    return resolve_metric(metric).score(
+        knowledge, training.estimated_locations, training.observations
     )

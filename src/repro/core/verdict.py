@@ -120,15 +120,21 @@ def verdicts_from_scores(
     if claim_ids is not None and len(claim_ids) != scores.shape[0]:
         raise ValueError("claim_ids and scores disagree in length")
     threshold = float(threshold)
-    flags = scores > threshold
+    false_positive_rate = float(false_positive_rate)
+    if claim_ids is None:
+        claim_ids = [None] * scores.shape[0]
+    # ``tolist`` gives the same floats and bools as per-element casts, without
+    # a NumPy scalar per row (the serving path builds every verdict here).
     return [
         Verdict(
-            score=float(score),
+            score=score,
             threshold=threshold,
-            anomalous=bool(flag),
+            anomalous=flag,
             metric=metric,
-            false_positive_rate=float(false_positive_rate),
-            claim_id=None if claim_ids is None else claim_ids[i],
+            false_positive_rate=false_positive_rate,
+            claim_id=claim_id,
         )
-        for i, (score, flag) in enumerate(zip(scores, flags))
+        for score, flag, claim_id in zip(
+            scores.tolist(), (scores > threshold).tolist(), claim_ids
+        )
     ]

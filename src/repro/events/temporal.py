@@ -386,13 +386,7 @@ def _simulate_point(
                     )
                 if world.region is not None:
                     claimed = world.region.clip(claimed)
-            benign_expected = knowledge.expected_observation(claimed)
-            benign_scores = np.asarray(
-                metric.compute(
-                    observations, benign_expected, group_size=knowledge.group_size
-                ),
-                dtype=np.float64,
-            )
+            benign_scores = metric.score(knowledge, claimed, observations)
             scores[epoch, benign_rows] = benign_scores[benign_rows]
 
         attacked_record[epoch] = attacked

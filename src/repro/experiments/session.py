@@ -122,10 +122,10 @@ class LadSession:
     --------
     >>> session = LadSession(SimulationConfig(num_training_samples=50,
     ...                                       num_victims=50))
-    >>> outcome = session.detection_rate("diff", "dec_bounded",
-    ...                                  degree_of_damage=160,
-    ...                                  compromised_fraction=0.1,
-    ...                                  false_positive_rate=0.01)
+    >>> outcome = session.outcome("diff", "dec_bounded",
+    ...                           degree_of_damage=160,
+    ...                           compromised_fraction=0.1,
+    ...                           false_positive_rate=0.01)
     >>> outcome.detection_rate, outcome.threshold  # doctest: +SKIP
     (0.94, 27.0)
     """
@@ -779,30 +779,6 @@ class LadSession:
             attacked,
             false_positive_rate=false_positive_rate,
             metric=metric,
-        )
-
-    def detection_rate(
-        self,
-        metric: Union[str, AnomalyMetric],
-        attack_class: str,
-        *,
-        degree_of_damage: float,
-        compromised_fraction: float,
-        false_positive_rate: float = 0.01,
-    ) -> DetectionOutcome:
-        """Detection outcome at a false-positive budget (Figures 7–9).
-
-        Returns the same :class:`~repro.core.evaluation.DetectionOutcome`
-        as :meth:`outcome` — read ``.detection_rate`` and ``.threshold``
-        for the figures' operating point (the historical
-        ``rate, threshold = ...`` unpacking still works).
-        """
-        return self.outcome(
-            metric,
-            attack_class,
-            degree_of_damage=degree_of_damage,
-            compromised_fraction=compromised_fraction,
-            false_positive_rate=false_positive_rate,
         )
 
     def service(

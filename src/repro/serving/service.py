@@ -8,12 +8,12 @@ requests in one vectorised pass:
 
 1. claims without a claimed location are localized first — all of them in
    one :meth:`BeaconlessLocalizer.localize_observations` call;
-2. one :meth:`DeploymentKnowledge.expected_observation` call produces the
-   expected observations ``µ`` of the whole batch;
-3. each metric scores its claims' ``(o, µ)`` rows with the same vectorised
-   ``compute`` kernel the offline evaluation uses;
-4. scores become :class:`~repro.core.verdict.Verdict` objects under the
-   session-trained thresholds.
+2. the claims are grouped by metric, and each group is scored with one
+   :meth:`AnomalyMetric.score` call — the expected observations ``µ`` at
+   the group's locations, then the same vectorised ``compute`` kernel the
+   offline evaluation uses;
+3. scores become :class:`~repro.core.verdict.Verdict` objects under the
+   session-trained thresholds (:func:`~repro.core.verdict.verdicts_from_scores`).
 
 Every kernel in that pipeline is row-elementwise (and the batch engine is
 pinned batch == loop bit-for-bit), so a claim's verdict never depends on
@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.metrics import AnomalyMetric, resolve_metric
 from repro.core.thresholds import derive_threshold
-from repro.core.verdict import Verdict
+from repro.core.verdict import Verdict, verdicts_from_scores
 from repro.deployment.knowledge import DeploymentKnowledge
 from repro.localization.base import LocalizationScheme
 from repro.localization.beaconless import BeaconlessLocalizer
@@ -249,12 +249,13 @@ class DetectionService:
 
     # -- claim validation --------------------------------------------------
 
-    def validate(self, claim: LocationClaim) -> None:
+    def validate(self, claim: LocationClaim) -> str:
         """Raise :class:`ClaimError` when *claim* cannot be served.
 
         Checked at admission (before a claim occupies queue space) so a
         bad claim is rejected immediately and can never poison the
-        micro-batch it would have joined.
+        micro-batch it would have joined.  Returns the canonical name of
+        the metric the claim is scored with.
         """
         if claim.observation.shape[0] != self.n_groups:
             raise ClaimError(
@@ -262,7 +263,8 @@ class DetectionService:
                 f"group(s); this deployment has {self.n_groups}"
             )
         metric = claim.metric or self._default_metric
-        if resolve_metric(metric).name not in self._thresholds:
+        name = resolve_metric(metric).name
+        if name not in self._thresholds:
             raise ClaimError(
                 f"no trained threshold for metric {metric!r} "
                 f"(have: {sorted(self._thresholds)})"
@@ -273,6 +275,7 @@ class DetectionService:
                 "localize observations (needs the beaconless scheme; "
                 f"localizer is {self._localizer!r})"
             )
+        return name
 
     def _can_localize(self) -> bool:
         return isinstance(self._localizer, BeaconlessLocalizer)
@@ -285,11 +288,11 @@ class DetectionService:
         """Verify a micro-batch of claims in one vectorised pass.
 
         Location-less claims are localized together in one
-        :meth:`localize_observations` call, the whole batch shares one
-        :meth:`expected_observation` call, and each metric scores its rows
-        with one vectorised ``compute``.  Every kernel is row-elementwise,
-        so verdicts are bit-identical whether a claim is verified alone or
-        inside any batch.
+        :meth:`localize_observations` call, and each metric scores its rows
+        with one :meth:`AnomalyMetric.score` call (one
+        :meth:`expected_observation` plus one vectorised ``compute``).
+        Every kernel is row-elementwise, so verdicts are bit-identical
+        whether a claim is verified alone or inside any batch.
 
         Claims carrying non-finite values (``NaN``/``inf`` in the
         observation or the claimed location) get a per-claim *error*
@@ -300,8 +303,7 @@ class DetectionService:
         claims = list(claims)
         if not claims:
             return []
-        for claim in claims:
-            self.validate(claim)
+        names = [self.validate(claim) for claim in claims]
 
         verdicts: List[Optional[Verdict]] = [None] * len(claims)
         ok_rows: List[int] = []
@@ -316,12 +318,11 @@ class DetectionService:
             if message is None:
                 ok_rows.append(row)
                 continue
-            name = resolve_metric(claim.metric or self._default_metric).name
             verdicts[row] = Verdict(
                 score=float("nan"),
-                threshold=self._thresholds[name],
+                threshold=self._thresholds[names[row]],
                 anomalous=True,
-                metric=name,
+                metric=names[row],
                 false_positive_rate=self._false_positive_rate,
                 claim_id=claim.claim_id,
                 error=message,
@@ -345,38 +346,26 @@ class DetectionService:
             )
             locations[localize_positions] = estimates
 
-        expected = self._knowledge.expected_observation(locations)
-
-        # Group rows by metric so each metric runs one vectorised compute;
-        # compute is row-elementwise, so grouping cannot change any score.
+        # Group rows by metric so each metric scores its rows in one call;
+        # scoring is row-elementwise, so grouping cannot change any score.
         by_metric: Dict[str, List[int]] = {}
         for pos, row in enumerate(ok_rows):
-            name = resolve_metric(claims[row].metric or self._default_metric).name
-            by_metric.setdefault(name, []).append(pos)
+            by_metric.setdefault(names[row], []).append(pos)
 
         for name, positions in by_metric.items():
-            metric = resolve_metric(name)
-            scores = np.atleast_1d(
-                np.asarray(
-                    metric.compute(
-                        observations[positions],
-                        expected[positions],
-                        group_size=self._knowledge.group_size,
-                    ),
-                    dtype=np.float64,
-                )
+            rows = [ok_rows[pos] for pos in positions]
+            scores = resolve_metric(name).score(
+                self._knowledge, locations[positions], observations[positions]
             )
-            threshold = self._thresholds[name]
-            for pos, score in zip(positions, scores):
-                value = float(score)
-                verdicts[ok_rows[pos]] = Verdict(
-                    score=value,
-                    threshold=threshold,
-                    anomalous=value > threshold,
-                    metric=name,
-                    false_positive_rate=self._false_positive_rate,
-                    claim_id=claims[ok_rows[pos]].claim_id,
-                )
+            grouped = verdicts_from_scores(
+                scores,
+                threshold=self._thresholds[name],
+                metric=name,
+                false_positive_rate=self._false_positive_rate,
+                claim_ids=[claims[row].claim_id for row in rows],
+            )
+            for row, verdict in zip(rows, grouped):
+                verdicts[row] = verdict
         return verdicts  # type: ignore[return-value]
 
     def verify(self, claim: LocationClaim) -> Verdict:

@@ -4,114 +4,92 @@ import numpy as np
 import pytest
 
 from repro.core.evaluation import (
-    attacked_scores_for_victims,
     attacked_scores_from_observations,
-    detection_rate_at_false_positive,
     evaluate_detection,
 )
 
 
 @pytest.fixture(scope="module")
-def victim_sample():
-    """Honest observations for a fixed set of victims of the small network."""
-    return {"nodes": np.arange(0, 600, 10)}
+def victim_sample(small_network, small_index):
+    """``victim_sample(stop)``: honest observations ``a`` and actual
+    locations ``L_a`` of the victims ``0, 5, 10, …`` below node *stop*."""
+
+    def sample(stop):
+        victims = np.arange(0, stop, 5)
+        return (
+            small_index.observations_of_nodes(victims),
+            small_network.positions[victims],
+        )
+
+    return sample
 
 
 class TestAttackedScores:
-    def test_scores_shape_and_positivity(
-        self,
-        small_network,
-        small_knowledge,
-        small_index,
-    ):
-        victims = np.arange(0, 100, 5)
-        scores = attacked_scores_for_victims(
-            small_network,
+    def test_scores_shape_and_positivity(self, small_knowledge, victim_sample):
+        honest, actual = victim_sample(100)
+        scores = attacked_scores_from_observations(
             small_knowledge,
-            victims,
+            honest,
+            actual,
             metric="diff",
             degree_of_damage=100.0,
             compromised_fraction=0.1,
-            index=small_index,
             rng=0,
         )
-        assert scores.shape == (victims.size,)
+        assert scores.shape == (actual.shape[0],)
         assert np.all(scores >= 0.0)
 
-    def test_larger_damage_gives_larger_scores(
-        self,
-        small_network,
-        small_knowledge,
-        small_index,
-    ):
-        victims = np.arange(0, 300, 5)
+    def test_larger_damage_gives_larger_scores(self, small_knowledge, victim_sample):
+        honest, actual = victim_sample(300)
         means = []
         for degree in (20.0, 80.0, 160.0):
-            scores = attacked_scores_for_victims(
-                small_network,
+            scores = attacked_scores_from_observations(
                 small_knowledge,
-                victims,
+                honest,
+                actual,
                 metric="diff",
                 degree_of_damage=degree,
                 compromised_fraction=0.1,
-                index=small_index,
                 rng=1,
             )
             means.append(scores.mean())
         assert means[0] < means[1] < means[2]
 
     def test_more_compromise_gives_smaller_scores(
-        self,
-        small_network,
-        small_knowledge,
-        small_index,
+        self, small_knowledge, victim_sample
     ):
-        victims = np.arange(0, 300, 5)
+        honest, actual = victim_sample(300)
         means = []
         for fraction in (0.0, 0.2, 0.5):
-            scores = attacked_scores_for_victims(
-                small_network,
+            scores = attacked_scores_from_observations(
                 small_knowledge,
-                victims,
+                honest,
+                actual,
                 metric="diff",
                 degree_of_damage=100.0,
                 compromised_fraction=fraction,
-                index=small_index,
                 rng=2,
             )
             means.append(scores.mean())
         assert means[0] > means[1] > means[2]
 
     def test_dec_only_scores_at_least_dec_bounded(
-        self,
-        small_network,
-        small_knowledge,
-        small_index,
+        self, small_knowledge, victim_sample
     ):
         """The Dec-Bounded adversary is stronger, so it achieves lower
         (harder to detect) scores on average."""
-        victims = np.arange(0, 300, 5)
+        honest, actual = victim_sample(300)
         kwargs = dict(
             metric="diff",
             degree_of_damage=60.0,
             compromised_fraction=0.2,
-            index=small_index,
-        )
-        bounded = attacked_scores_for_victims(
-            small_network,
-            small_knowledge,
-            victims,
-            attack_class="dec_bounded",
             rng=3,
-            **kwargs,
         )
-        only = attacked_scores_for_victims(
-            small_network,
-            small_knowledge,
-            victims,
-            attack_class="dec_only",
-            rng=3,
-            **kwargs,
+        bounded = attacked_scores_from_observations(
+            small_knowledge, honest, actual, attack_class="dec_bounded", **kwargs
+        )
+        only = attacked_scores_from_observations(
+            small_knowledge, honest, actual, attack_class="dec_only", **kwargs
         )
         assert bounded.mean() < only.mean()
 
@@ -146,17 +124,17 @@ class TestDetectionRateReadout:
     def test_fixed_fp_semantics(self):
         benign = np.arange(1000, dtype=float)
         attacked = np.full(100, 2000.0)
-        dr, thr = detection_rate_at_false_positive(benign, attacked, 0.01)
-        assert dr == 1.0
-        assert float(np.mean(benign > thr)) <= 0.011
+        outcome = evaluate_detection(benign, attacked, false_positive_rate=0.01)
+        assert outcome.detection_rate == 1.0
+        assert float(np.mean(benign > outcome.threshold)) <= 0.011
 
     def test_overlapping_distributions(self):
         rng = np.random.default_rng(0)
         benign = rng.normal(0, 1, 2000)
         attacked = rng.normal(1.0, 1, 2000)
-        dr_1, _ = detection_rate_at_false_positive(benign, attacked, 0.01)
-        dr_10, _ = detection_rate_at_false_positive(benign, attacked, 0.10)
-        assert 0.0 < dr_1 < dr_10 < 1.0
+        dr_1 = evaluate_detection(benign, attacked, false_positive_rate=0.01)
+        dr_10 = evaluate_detection(benign, attacked, false_positive_rate=0.10)
+        assert 0.0 < dr_1.detection_rate < dr_10.detection_rate < 1.0
 
     def test_evaluate_detection_bundle(self):
         rng = np.random.default_rng(1)
@@ -170,4 +148,6 @@ class TestDetectionRateReadout:
 
     def test_invalid_fp_rejected(self):
         with pytest.raises(ValueError):
-            detection_rate_at_false_positive(np.array([1.0]), np.array([2.0]), 1.5)
+            evaluate_detection(
+                np.array([1.0]), np.array([2.0]), false_positive_rate=1.5
+            )

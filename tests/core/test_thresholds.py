@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.thresholds import ThresholdTable, derive_threshold
+from repro.core.thresholds import derive_threshold
 
 
 class TestDeriveThreshold:
@@ -12,6 +12,11 @@ class TestDeriveThreshold:
         thr = derive_threshold(scores, tau=0.99)
         # About 1% of benign samples exceed the threshold.
         assert float(np.mean(scores > thr)) == pytest.approx(0.01, abs=0.002)
+
+    def test_interpolates_between_order_statistics(self):
+        # τ = 0.9 of the way through 0..99 lies a tenth past 89.
+        scores = np.arange(100, dtype=float)
+        assert derive_threshold(scores, tau=0.9) == pytest.approx(89.1)
 
     def test_tau_one_is_max(self):
         scores = np.array([3.0, 9.0, 1.0])
@@ -29,35 +34,3 @@ class TestDeriveThreshold:
             derive_threshold(np.array([]), 0.9)
         with pytest.raises(ValueError):
             derive_threshold(np.array([1.0]), 1.5)
-
-
-class TestThresholdTable:
-    def test_add_and_lookup(self):
-        table = ThresholdTable()
-        table.add_metric("diff", np.arange(100, dtype=float))
-        table.add_metric("add_all", np.arange(0, 1000, 10, dtype=float))
-        assert set(table.metrics()) == {"diff", "add_all"}
-        assert table.threshold("diff", 0.99) == pytest.approx(98.01, abs=0.2)
-
-    def test_threshold_for_false_positive(self):
-        table = ThresholdTable()
-        scores = np.arange(1000, dtype=float)
-        table.add_metric("diff", scores)
-        thr = table.threshold_for_false_positive("diff", 0.05)
-        assert float(np.mean(scores > thr)) == pytest.approx(0.05, abs=0.005)
-
-    def test_as_dict(self):
-        table = ThresholdTable()
-        table.add_metric("diff", np.array([1.0, 2.0, 3.0]))
-        out = table.as_dict(tau=1.0)
-        assert out == {"diff": 3.0}
-
-    def test_missing_metric(self):
-        table = ThresholdTable()
-        with pytest.raises(KeyError):
-            table.threshold("diff")
-
-    def test_empty_scores_rejected(self):
-        table = ThresholdTable()
-        with pytest.raises(ValueError):
-            table.add_metric("diff", np.array([]))

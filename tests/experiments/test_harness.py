@@ -67,24 +67,24 @@ class TestEvaluationEntryPoints:
             "diff", "dec_bounded", degree_of_damage=160.0, compromised_fraction=0.1
         )
         assert roc.detection_rate_at(1.0) == 1.0
-        dr, thr = tiny_simulation.detection_rate(
+        outcome = tiny_simulation.outcome(
             "diff",
             "dec_bounded",
             degree_of_damage=160.0,
             compromised_fraction=0.1,
             false_positive_rate=0.05,
         )
-        assert 0.0 <= dr <= 1.0
-        assert np.isfinite(thr)
+        assert 0.0 <= outcome.detection_rate <= 1.0
+        assert np.isfinite(outcome.threshold)
 
     def test_detection_rate_increases_with_damage(self, tiny_simulation):
-        low, _ = tiny_simulation.detection_rate(
+        low = tiny_simulation.outcome(
             "diff", "dec_bounded", degree_of_damage=30.0, compromised_fraction=0.1
         )
-        high, _ = tiny_simulation.detection_rate(
+        high = tiny_simulation.outcome(
             "diff", "dec_bounded", degree_of_damage=160.0, compromised_fraction=0.1
         )
-        assert high >= low
+        assert high.detection_rate >= low.detection_rate
 
     def test_outcome_bundle(self, tiny_simulation):
         outcome = tiny_simulation.outcome(
@@ -123,6 +123,39 @@ class TestLegacyShimRemoval:
             repro.get_metric
         assert not hasattr(repro.core, "get_metric")
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "LADDetector",
+            "ThresholdTable",
+            "attacked_scores_for_victims",
+            "detection_rate_at_false_positive",
+        ],
+    )
+    def test_second_detector_path_removed(self, name):
+        """``DetectionService`` is the one detector and ``evaluate_detection``
+        the one operating-point reader; the parallel names are gone."""
+        import repro
+        import repro.core
+
+        with pytest.raises(AttributeError, match=name):
+            getattr(repro, name)
+        assert not hasattr(repro.core, name)
+
+    def test_detector_module_removed(self):
+        with pytest.raises(ModuleNotFoundError):
+            import repro.core.detector  # noqa: F401
+
+    def test_session_detection_rate_alias_removed(self):
+        assert not hasattr(LadSession, "detection_rate")
+
+    def test_outcome_is_not_a_tuple(self, tiny_simulation):
+        outcome = tiny_simulation.outcome(
+            "diff", "dec_bounded", degree_of_damage=120.0, compromised_fraction=0.1
+        )
+        with pytest.raises(TypeError):
+            tuple(outcome)
+
 
 class TestBeaconSessions:
     """Beacon-based localizers are first-class session citizens."""
@@ -147,14 +180,15 @@ class TestBeaconSessions:
         assert beacons.num_beacons == 9
         assert session.beacons is beacons  # cached
         # The whole pipeline runs end to end behind the beacon scheme.
-        rate, threshold = session.detection_rate(
+        outcome = session.outcome(
             "diff",
             "dec_bounded",
             degree_of_damage=160.0,
             compromised_fraction=0.1,
             false_positive_rate=0.05,
         )
-        assert 0.0 <= rate <= 1.0 and np.isfinite(threshold)
+        assert 0.0 <= outcome.detection_rate <= 1.0
+        assert np.isfinite(outcome.threshold)
 
     def test_beacon_scheme_defaults_spec_when_config_has_none(self):
         config = SimulationConfig(

@@ -121,14 +121,14 @@ class TestSerialSweep:
         points = SweepRunner.grid(["diff"], ["dec_bounded"], [160.0], [0.1, 0.3])
         rates = runner.detection_rates(points, false_positive_rate=0.05)
         for point in points:
-            expected = tiny_simulation.detection_rate(
+            expected = tiny_simulation.outcome(
                 point.metric,
                 point.attack,
                 degree_of_damage=point.degree_of_damage,
                 compromised_fraction=point.compromised_fraction,
                 false_positive_rate=0.05,
             )
-            assert rates[point] == pytest.approx(expected)
+            assert rates[point] == expected
 
     def test_rocs_match_simulation(self, tiny_simulation):
         runner = tiny_simulation.sweep()

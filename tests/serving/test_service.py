@@ -12,6 +12,8 @@ The load-bearing guarantees:
 import numpy as np
 import pytest
 
+from repro.core.thresholds import derive_threshold
+from repro.core.training import benign_scores, collect_training_data
 from repro.experiments.session import LadSession
 from repro.experiments.store import ArtifactStore
 from repro.localization.base import LOCALIZERS
@@ -145,6 +147,113 @@ class TestBatchInvariance:
         assert tiny_service.verify_batch([]) == []
 
 
+class TestDetectionDecisions:
+    """The LAD rule on hand-built claims: a claim is flagged exactly when
+    its score at the claimed location exceeds the trained threshold."""
+
+    CENTER = np.array([250.0, 250.0])
+
+    @pytest.fixture(scope="class")
+    def honest_observation(self, small_knowledge):
+        """The expected observation at :attr:`CENTER` — what an honest node
+        there sees on average."""
+        return small_knowledge.expected_observation(self.CENTER[None, :])[0]
+
+    def test_consistent_location_not_flagged(
+        self, small_knowledge, honest_observation
+    ):
+        service = DetectionService(small_knowledge, thresholds={"diff": 30.0})
+        verdict = service.verify(
+            LocationClaim(observation=honest_observation, claimed_location=self.CENTER)
+        )
+        assert not verdict.anomalous
+        assert verdict.score == pytest.approx(0.0, abs=1e-6)
+        assert verdict.metric == "diff"
+
+    def test_displaced_location_flagged(self, small_knowledge, honest_observation):
+        service = DetectionService(small_knowledge, thresholds={"diff": 30.0})
+        verdict = service.verify(
+            LocationClaim(
+                observation=honest_observation,
+                claimed_location=self.CENTER + np.array([150.0, 0.0]),
+            )
+        )
+        assert verdict.anomalous
+        assert verdict.score > verdict.threshold
+
+    def test_given_threshold_decides_strictly(
+        self, small_knowledge, honest_observation
+    ):
+        """A hand-given threshold is the one applied: a claim scoring
+        exactly at it is accepted, one just above it is flagged."""
+        claim = LocationClaim(
+            observation=honest_observation,
+            claimed_location=self.CENTER + np.array([150.0, 0.0]),
+        )
+        score = DetectionService(
+            small_knowledge, thresholds={"diff": 30.0}
+        ).verify(claim).score
+        at = DetectionService(small_knowledge, thresholds={"diff": score})
+        below = DetectionService(
+            small_knowledge, thresholds={"diff": np.nextafter(score, -np.inf)}
+        )
+        assert at.threshold("diff") == score
+        assert at.verify(claim).threshold == score
+        assert not at.verify(claim).anomalous
+        assert below.verify(claim).anomalous
+
+    def test_two_claim_batch(self, small_knowledge, honest_observation):
+        service = DetectionService(small_knowledge, thresholds={"diff": 30.0})
+        verdicts = service.verify_batch(
+            [
+                LocationClaim(observation=honest_observation, claimed_location=loc)
+                for loc in ([250.0, 250.0], [420.0, 250.0])
+            ]
+        )
+        assert [verdict.decision for verdict in verdicts] == ["accept", "flag"]
+
+    def test_probability_metric_flags_far_claim(
+        self, small_knowledge, honest_observation
+    ):
+        service = DetectionService(small_knowledge, thresholds={"probability": 50.0})
+        near, far = (
+            service.verify(
+                LocationClaim(observation=honest_observation, claimed_location=loc)
+            )
+            for loc in (self.CENTER, self.CENTER + np.array([200.0, 0.0]))
+        )
+        assert near.metric == "probability"
+        assert not near.anomalous
+        assert far.anomalous
+
+    def test_trained_threshold_bounds_benign_false_positives(
+        self, small_generator, small_knowledge
+    ):
+        training = collect_training_data(
+            small_generator,
+            num_samples=30,
+            samples_per_network=15,
+            rng=5,
+            knowledge=small_knowledge,
+        )
+        threshold = derive_threshold(
+            benign_scores(training, small_knowledge, "diff"), 0.95
+        )
+        service = DetectionService(
+            small_knowledge, thresholds={"diff": threshold}, false_positive_rate=0.05
+        )
+        verdicts = service.verify_batch(
+            [
+                LocationClaim(observation=obs, claimed_location=loc)
+                for obs, loc in zip(
+                    training.observations, training.estimated_locations
+                )
+            ]
+        )
+        # Roughly 5% of the training samples themselves exceed the threshold.
+        assert np.mean([verdict.anomalous for verdict in verdicts]) <= 0.15
+
+
 class TestLocalization:
     def test_localize_then_verify_matches_manual_pipeline(
         self, tiny_service, tiny_session
@@ -197,6 +306,17 @@ class TestValidation:
         )
         with pytest.raises(ClaimError, match="threshold"):
             tiny_service.validate(claim)
+
+    def test_threshold_of_untrained_metric_raises(self, tiny_service):
+        with pytest.raises(KeyError, match="probability"):
+            tiny_service.threshold("probability")
+
+    def test_validate_returns_canonical_metric(self, tiny_service, tiny_session):
+        alias = _training_claims(tiny_session, metric="dm")[0]
+        default = _training_claims(tiny_session)[0]
+        assert tiny_service.validate(alias) == "diff"
+        assert tiny_service.validate(default) == tiny_service.default_metric
+        assert tiny_service.verify_batch([alias])[0].metric == "diff"
 
     def test_needs_at_least_one_threshold(self, tiny_session):
         with pytest.raises(ValueError, match="at least one"):

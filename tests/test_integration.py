@@ -13,13 +13,15 @@ import repro
 from repro import (
     AttackBudget,
     BeaconlessLocalizer,
+    DiffMetric,
     DisplacementAttack,
     GreedyMetricMinimizer,
-    LADDetector,
     NeighborIndex,
     NetworkGenerator,
     UnitDiskRadio,
+    benign_scores,
     collect_training_data,
+    derive_threshold,
 )
 from repro.deployment.distributions import GaussianResidentDistribution
 from repro.deployment.models import GridDeploymentModel
@@ -38,21 +40,22 @@ def pipeline():
     generator = NetworkGenerator(model, group_size=40, radio=UnitDiskRadio(80.0))
     knowledge = generator.knowledge(omega=400)
     training = collect_training_data(
-        generator, num_samples=80, samples_per_network=40, rng=101
+        generator, num_samples=80, samples_per_network=40, rng=101, knowledge=knowledge
     )
-    detector = LADDetector.from_training_data(
-        knowledge,
-        training,
-        metric="diff",
-        tau=0.99,
-    )
+    metric = DiffMetric()
+    threshold = derive_threshold(benign_scores(training, knowledge, metric), 0.99)
     network = generator.generate(rng=202)
     index = NeighborIndex(network)
+
+    def alarms(locations, observations):
+        """LAD's rule: flag when the score exceeds the trained threshold."""
+        return metric.score(knowledge, locations, observations) > threshold
+
     return {
         "generator": generator,
         "knowledge": knowledge,
         "training": training,
-        "detector": detector,
+        "alarms": alarms,
         "network": network,
         "index": index,
     }
@@ -69,7 +72,6 @@ class TestBenignOperation:
     def test_benign_nodes_rarely_flagged(self, pipeline):
         """An honest node localising itself should rarely raise an alarm
         (false positives stay near the trained 1% budget)."""
-        detector = pipeline["detector"]
         knowledge = pipeline["knowledge"]
         network = pipeline["network"]
         index = pipeline["index"]
@@ -79,7 +81,7 @@ class TestBenignOperation:
         nodes = rng.choice(network.num_nodes, size=60, replace=False)
         observations = index.observations_of_nodes(nodes)
         estimates = localizer.localize_observations(knowledge, observations)
-        alarms = detector.detect_batch(estimates, observations)
+        alarms = pipeline["alarms"](estimates, observations)
         assert alarms.mean() <= 0.15
 
     def test_benign_localization_is_accurate(self, pipeline):
@@ -91,7 +93,6 @@ class TestAttackDetection:
     def test_large_displacement_detected_despite_tainting(self, pipeline):
         """A D=200 m anomaly with 10% compromised neighbours and a greedy
         Dec-Bounded adversary is still detected for most victims."""
-        detector = pipeline["detector"]
         knowledge = pipeline["knowledge"]
         network = pipeline["network"]
         index = pipeline["index"]
@@ -116,15 +117,13 @@ class TestAttackDetection:
             group_size=knowledge.group_size,
         )
 
-        alarms = detector.detect_batch(spoofed, tainted)
+        alarms = pipeline["alarms"](spoofed, tainted)
         assert alarms.mean() > 0.7
 
     def test_small_displacement_mostly_undetected(self, pipeline):
         """A D=15 m error is inside the localization noise floor, so LAD
         should *not* flag it aggressively — matching the paper's observation
         that low-damage attacks are hard (and unimportant) to catch."""
-        detector = pipeline["detector"]
-        knowledge = pipeline["knowledge"]
         network = pipeline["network"]
         index = pipeline["index"]
 
@@ -135,14 +134,13 @@ class TestAttackDetection:
         spoofed = DisplacementAttack(
             15.0,
         ).spoof_locations(actual, rng, region=network.region)
-        alarms = detector.detect_batch(spoofed, honest)
+        alarms = pipeline["alarms"](spoofed, honest)
         assert alarms.mean() < 0.5
 
     def test_detection_rate_grows_with_damage(self, pipeline):
         knowledge = pipeline["knowledge"]
         network = pipeline["network"]
         index = pipeline["index"]
-        detector = pipeline["detector"]
 
         rng = np.random.default_rng(8)
         victims = rng.choice(network.num_nodes, size=60, replace=False)
@@ -160,7 +158,7 @@ class TestAttackDetection:
             tainted = adversary.taint_batch(
                 honest, expected, budgets, group_size=knowledge.group_size
             )
-            rates.append(float(detector.detect_batch(spoofed, tainted).mean()))
+            rates.append(float(pipeline["alarms"](spoofed, tainted).mean()))
         assert rates[0] <= rates[1] <= rates[2]
         assert rates[2] > 0.8
 
@@ -171,8 +169,6 @@ class TestApplicationLevelImpact:
         check removes the grossly wrong event positions."""
         from repro.applications.surveillance import SurveillanceField
 
-        detector = pipeline["detector"]
-        knowledge = pipeline["knowledge"]
         network = pipeline["network"]
         index = pipeline["index"]
 
@@ -190,7 +186,7 @@ class TestApplicationLevelImpact:
 
         # Each sensor runs LAD on its believed position.
         observations = index.observations_of_nodes(np.arange(network.num_nodes))
-        alarms = detector.detect_batch(believed, observations)
+        alarms = pipeline["alarms"](believed, observations)
 
         events = rng.uniform(100, 400, size=(15, 2))
         unfiltered = SurveillanceField(
