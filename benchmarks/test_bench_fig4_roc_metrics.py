@@ -6,13 +6,13 @@ corner as D grows; at D = 160 the Diff metric detects essentially every
 attack without false alarms.
 """
 
-from repro.experiments.figures import fig4
+from repro.experiments.figures import fig4, run_figure_spec
 from repro.experiments.reporting import format_figure
 
 
 def test_fig4_roc_for_all_metrics(benchmark, paper_simulation):
     result = benchmark.pedantic(
-        lambda: fig4.run(simulation=paper_simulation),
+        lambda: run_figure_spec(fig4.spec(), session=paper_simulation),
         rounds=1,
         iterations=1,
     )

@@ -7,13 +7,13 @@ than the Dec-Only attack at these small degrees of damage.
 
 import numpy as np
 
-from repro.experiments.figures import fig5
+from repro.experiments.figures import fig5, run_figure_spec
 from repro.experiments.reporting import format_figure
 
 
 def test_fig5_roc_for_attack_classes_small_damage(benchmark, paper_simulation):
     result = benchmark.pedantic(
-        lambda: fig5.run(simulation=paper_simulation),
+        lambda: run_figure_spec(fig5.spec(), session=paper_simulation),
         rounds=1,
         iterations=1,
     )

@@ -7,13 +7,13 @@ false-positive budgets, so the expensive mechanisms needed to force
 Dec-Only behaviour are unnecessary for high-impact anomalies.
 """
 
-from repro.experiments.figures import fig6
+from repro.experiments.figures import fig6, run_figure_spec
 from repro.experiments.reporting import format_figure
 
 
 def test_fig6_roc_for_attack_classes_large_damage(benchmark, paper_simulation):
     result = benchmark.pedantic(
-        lambda: fig6.run(simulation=paper_simulation),
+        lambda: run_figure_spec(fig6.spec(), session=paper_simulation),
         rounds=1,
         iterations=1,
     )

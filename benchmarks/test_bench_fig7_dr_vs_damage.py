@@ -8,13 +8,13 @@ every compromise level.
 
 import numpy as np
 
-from repro.experiments.figures import fig7
+from repro.experiments.figures import fig7, run_figure_spec
 from repro.experiments.reporting import format_figure
 
 
 def test_fig7_detection_rate_vs_degree_of_damage(benchmark, paper_simulation):
     result = benchmark.pedantic(
-        lambda: fig7.run(simulation=paper_simulation),
+        lambda: run_figure_spec(fig7.spec(), session=paper_simulation),
         rounds=1,
         iterations=1,
     )

@@ -8,13 +8,13 @@ D=160 curve stays high well past the point where the D=80 curve collapses.
 
 import numpy as np
 
-from repro.experiments.figures import fig8
+from repro.experiments.figures import fig8, run_figure_spec
 from repro.experiments.reporting import format_figure
 
 
 def test_fig8_detection_rate_vs_compromise(benchmark, paper_simulation):
     result = benchmark.pedantic(
-        lambda: fig8.run(simulation=paper_simulation),
+        lambda: run_figure_spec(fig8.spec(), session=paper_simulation),
         rounds=1,
         iterations=1,
     )

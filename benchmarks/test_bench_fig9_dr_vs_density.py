@@ -7,14 +7,14 @@ localization gets more accurate and the benign threshold tightens.
 
 This is the most expensive figure (every density point needs its own
 threshold training on a network of up to 100 x m nodes), so the benchmark
-uses a reduced density sweep; pass ``group_sizes`` to ``fig9.run`` for the
+uses a reduced density sweep; pass ``group_sizes`` to ``fig9.spec`` for the
 full 100..1000 range.
 """
 
 import numpy as np
 
 from benchmarks.conftest import bench_config
-from repro.experiments.figures import fig9
+from repro.experiments.figures import fig9, run_figure_spec
 from repro.experiments.reporting import format_figure
 
 #: Densities swept by the benchmark (paper: 100 .. 1000).
@@ -22,9 +22,9 @@ BENCH_GROUP_SIZES = (100, 300, 600)
 
 
 def test_fig9_detection_rate_vs_density(benchmark):
-    config = bench_config()
+    spec = fig9.spec(bench_config(), group_sizes=BENCH_GROUP_SIZES)
     result = benchmark.pedantic(
-        lambda: fig9.run(config=config, group_sizes=BENCH_GROUP_SIZES),
+        lambda: run_figure_spec(spec),
         rounds=1,
         iterations=1,
     )

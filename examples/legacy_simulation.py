@@ -3,11 +3,12 @@
 
 ``LadSimulation`` and ``get_metric`` shipped as one-release deprecation
 shims after the scenario API landed; that release has passed and both are
-now gone, as are the second detector (``LADDetector``) and the duplicate
-readers of one operating point.  This example (run by CI) is the
-migration reference: it runs the session and spec replacements side by
-side and asserts that they agree, and the table maps every removed name
-to what to write instead:
+now gone, as are the second detector (``LADDetector``), the duplicate
+readers of one operating point and every way to render a figure but
+``run_figure_spec``.  This example (run by CI) is the migration
+reference: it runs the session and spec replacements side by side and
+asserts that they agree, and the table maps every removed name to what to
+write instead:
 
 =====================================  ==========================================
 removed                                replacement
@@ -22,6 +23,17 @@ bespoke sweep drivers                  ``ScenarioSpec`` + ``lad-repro sweep``
 ``LADDetector.detect``                 ``DetectionService.verify(LocationClaim)``
 ``LADDetector.detect_batch``           ``metric.score(...) > threshold``
 ``attacked_scores_for_victims``        ``attacked_scores_from_observations``
+``figN.run(simulation=s, ...)``        ``run_figure_spec(figN.spec(...), session=s)``
+``run_figure("figN", ...)``            ``run_figure_spec(figN.spec(...))``
+``get_figure("figN")``                 ``run_figure_spec(figN.spec(...))``
+``FIGURES``                            ``FIGURE_SPECS`` + ``run_figure_spec``
+``repro.run_figure``                   ``repro.run_figure_spec(figN.spec(...))``
+``spec.figure(...)``                   ``run_figure_spec(spec, ...)``
+``resolve_simulation``                 ``run_figure_spec(figN.spec(config, scale))``
+``resolve_session``                    ``run_figure_spec(figN.spec(...), session=s)``
+``run_roc_figure``                     ``run_figure_spec(figN.spec(...))``
+``run_rate_figure``                    ``run_figure_spec(figN.spec(...))``
+``roc_series``                         ``run_figure_spec(figN.spec(...))``
 =====================================  ==========================================
 
 Run with::

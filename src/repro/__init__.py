@@ -135,7 +135,6 @@ _LAZY_EXPORTS = {
     "shard_of_point": "repro.experiments.sweep",
     "shard_points": "repro.experiments.sweep",
     "FigureResult": "repro.experiments.results",
-    "run_figure": "repro.experiments.figures",
     "run_figure_spec": "repro.experiments.figures.common",
     # events (lazy: the temporal engine pulls in the sweep machinery)
     "EventEngine": "repro.events",
@@ -254,7 +253,6 @@ __all__ = [
     "shard_of_point",
     "shard_points",
     "FigureResult",
-    "run_figure",
     "run_figure_spec",
     # events (lazy)
     "EventEngine",

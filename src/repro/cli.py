@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -53,13 +54,6 @@ from repro._version import __version__
 from repro.utils.logging import configure_logging
 
 __all__ = ["main", "build_parser"]
-
-#: Shared config defaults of the ``figure`` and ``sweep --figures`` paths.
-#: Both parsers must agree on these, or the documented guarantee that
-#: ``sweep --figures figN`` equals ``figure figN`` silently breaks.
-DEFAULT_GROUP_SIZE = 300
-DEFAULT_RADIO_RANGE = 100.0
-DEFAULT_SEED = 20050404
 
 
 def _workers_parent() -> argparse.ArgumentParser:
@@ -103,7 +97,11 @@ def _output_parent() -> argparse.ArgumentParser:
 
 
 def _figure_config_parent() -> argparse.ArgumentParser:
-    """Parent parser: config knobs shared by ``figure`` and ``sweep``."""
+    """Parent parser: config knobs shared by ``figure`` and ``sweep``.
+
+    Each given flag replaces that field of the spec's ``[config]``; an
+    omitted one keeps the spec's value (for a figure id, the paper's).
+    """
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--scale",
@@ -114,18 +112,16 @@ def _figure_config_parent() -> argparse.ArgumentParser:
     parent.add_argument(
         "--group-size",
         type=int,
-        default=DEFAULT_GROUP_SIZE,
-        help="sensors per group m",
+        default=None,
+        help=(
+            "sensors per group m (not for specs with a group_sizes "
+            "density axis)"
+        ),
     )
     parent.add_argument(
-        "--radio-range",
-        type=float,
-        default=DEFAULT_RADIO_RANGE,
-        help="radio range R (m)",
+        "--radio-range", type=float, default=None, help="radio range R (m)"
     )
-    parent.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help="master random seed"
-    )
+    parent.add_argument("--seed", type=int, default=None, help="master random seed")
     return parent
 
 
@@ -336,10 +332,37 @@ def _add_localizer_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _apply_overrides(spec, args):
+    """Fold every override flag of ``figure`` / ``sweep`` into a spec.
+
+    ``--group-size`` / ``--radio-range`` / ``--seed`` replace fields of the
+    spec's ``[config]``, then the localizer, backend and timeline groups
+    apply.  A spec with a ``group_sizes`` axis ignores ``config.group_size``,
+    so ``--group-size`` on it raises instead of being silently dropped.
+    """
+    config = {
+        field: value
+        for field, value in (
+            ("group_size", args.group_size),
+            ("radio_range", args.radio_range),
+            ("seed", args.seed),
+        )
+        if value is not None
+    }
+    if "group_size" in config and spec.group_sizes:
+        raise ValueError(
+            f"--group-size does not apply to {spec.name!r}: its group_sizes "
+            f"axis {list(spec.group_sizes)} sets the density of every session"
+        )
+    if config:
+        spec = spec.with_config(replace(spec.config, **config))
+    spec = _apply_localizer_overrides(spec, args)
+    spec = _apply_backend_overrides(spec, args)
+    return _apply_timeline_overrides(spec, args)
+
+
 def _apply_localizer_overrides(spec, args):
     """Fold the ``--localizer`` / ``--beacon-*`` flags into a spec."""
-    from dataclasses import replace
-
     from repro.localization.beacons import BeaconSpec
 
     if args.localizer is not None:
@@ -405,8 +428,6 @@ def _apply_backend_overrides(spec, args):
     }
     if not overrides:
         return spec
-    from dataclasses import replace
-
     from repro.backend import BackendSpec
 
     base = spec.config.backend or BackendSpec()
@@ -424,7 +445,6 @@ def _apply_timeline_overrides(spec, args):
     ):
         return spec
     import math
-    from dataclasses import replace
 
     from repro.events.timeline import EventSpec, TimelineSpec
 
@@ -679,37 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
-    from repro.experiments.config import SimulationConfig
-    from repro.experiments.figures import FIGURE_SPECS, run_figure_spec
-    from repro.experiments.reporting import format_figure
-
-    config = SimulationConfig(
-        group_size=args.group_size, radio_range=args.radio_range, seed=args.seed
-    )
-    # Build the figure's declarative spec, fold in any --localizer /
-    # --beacon-* overrides, and render through the same dispatch as
-    # ``sweep --figures`` (the two paths are pinned equal by tests and CI).
-    spec = FIGURE_SPECS[args.figure_id](config=config, scale=args.scale)
-    spec = _apply_localizer_overrides(spec, args)
-    spec = _apply_backend_overrides(spec, args)
-    spec = _apply_timeline_overrides(spec, args)
-    result = run_figure_spec(
-        spec,
-        figure_id=args.figure_id,
-        workers=args.workers,
-        store=args.cache_dir,
-    )
-    print(format_figure(result))
-    if args.json is not None:
-        result.to_json(args.json)
-        print(f"\n[written] {args.json}")
-    if args.csv is not None:
-        result.to_csv(args.csv)
-        print(f"[written] {args.csv}")
-    return 0
-
-
 def _print_cache_stats(store) -> None:
     """One-line cache summary (plus the per-point sweep cache when used)."""
     if store is None:
@@ -783,41 +772,39 @@ def _sweep_status(spec, store, points) -> int:
     return 0
 
 
-def _cmd_sweep_figures(args: argparse.Namespace) -> int:
-    """The ``sweep --figures`` mode: evaluate a figure spec end to end."""
-    from repro.experiments.config import SimulationConfig
+def _cmd_figure(args: argparse.Namespace) -> int:
+    """``figure ID`` and ``sweep --figures SPEC``: render one figure spec.
+
+    The spec is a registered figure id's preset or, for ``sweep``, a spec
+    file whose name is a figure id; either way every override flag folds
+    in before :func:`run_figure_spec` renders it.
+    """
     from repro.experiments.figures import FIGURE_SPECS, run_figure_spec
     from repro.experiments.reporting import format_figure
     from repro.experiments.scenario import ScenarioSpec
     from repro.experiments.store import ArtifactStore
 
-    store = ArtifactStore(args.cache_dir) if args.cache_dir is not None else None
+    source = Path(args.figure_id if args.command == "figure" else args.spec)
     # Same id normalisation as run_figure_spec, so the CLI accepts
     # exactly the ids the library does.
-    spec_arg = str(args.spec).strip().lower()
-    if args.spec.is_file():
-        spec = ScenarioSpec.from_file(args.spec).scaled(args.scale)
-    elif spec_arg in FIGURE_SPECS:
-        config = SimulationConfig(
-            group_size=args.group_size,
-            radio_range=args.radio_range,
-            seed=args.seed,
-        )
-        spec = FIGURE_SPECS[spec_arg](config=config, scale=args.scale)
+    figure_id = str(source).strip().lower()
+    if source.is_file():
+        spec = ScenarioSpec.from_file(source).scaled(args.scale)
+    elif figure_id in FIGURE_SPECS:
+        spec = FIGURE_SPECS[figure_id](scale=args.scale)
     else:
         raise ValueError(
-            f"{spec_arg!r} is neither a spec file nor a registered figure "
+            f"{figure_id!r} is neither a spec file nor a registered figure "
             f"id; available figures: {sorted(FIGURE_SPECS)}"
         )
-    spec = _apply_localizer_overrides(spec, args)
-    spec = _apply_backend_overrides(spec, args)
-    spec = _apply_timeline_overrides(spec, args)
+    spec = _apply_overrides(spec, args)
+    store = ArtifactStore(args.cache_dir) if args.cache_dir is not None else None
     result = run_figure_spec(spec, workers=args.workers, store=store)
     print(format_figure(result))
     _print_cache_stats(store)
     if args.json is not None:
         result.to_json(args.json)
-        print(f"[written] {args.json}")
+        print(f"\n[written] {args.json}")
     if args.csv is not None:
         result.to_csv(args.csv)
         print(f"[written] {args.csv}")
@@ -836,12 +823,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError(
                 "--shard/--status apply to scenario sweeps, not --figures"
             )
-        return _cmd_sweep_figures(args)
+        return _cmd_figure(args)
 
-    spec = ScenarioSpec.from_file(args.spec).scaled(args.scale)
-    spec = _apply_localizer_overrides(spec, args)
-    spec = _apply_backend_overrides(spec, args)
-    spec = _apply_timeline_overrides(spec, args)
+    spec = _apply_overrides(ScenarioSpec.from_file(args.spec).scaled(args.scale), args)
     store = ArtifactStore(args.cache_dir) if args.cache_dir is not None else None
     shard = _parse_shard(args.shard)
     if (shard is not None or args.status) and store is None:

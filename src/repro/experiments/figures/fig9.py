@@ -9,7 +9,8 @@ Each density value requires its own threshold training (the benign
 localization error of the beaconless scheme shrinks as m grows, which is
 exactly the effect the figure demonstrates), so this is the most expensive
 figure; the default density sweep is therefore a small set of
-representative points and can be widened via the ``group_sizes`` argument.
+representative points and can be widened via the ``group_sizes`` keyword
+of :func:`spec`.
 With an artifact store attached, each density's trained state persists, so
 re-runs skip every training pass.  The densities run through
 :func:`~repro.experiments.figures.common.session_rates`.
@@ -31,7 +32,6 @@ from repro.experiments.session import LadSession
 from repro.experiments.sweep import SweepPoint
 
 __all__ = [
-    "run",
     "render",
     "spec",
     "GROUP_SIZES",
@@ -153,33 +153,3 @@ def render(
             )
         figure.add_panel(panel)
     return figure
-
-
-def run(
-    simulation: Optional[LadSession] = None,
-    config: Optional[SimulationConfig] = None,
-    scale: float = 1.0,
-    *,
-    group_sizes: Sequence[int] = GROUP_SIZES,
-    degrees: Sequence[float] = DEGREES_OF_DAMAGE,
-    fractions: Sequence[float] = COMPROMISED_FRACTIONS,
-    false_positive_rate: float = FALSE_POSITIVE_RATE,
-    workers: int = 0,
-    density_workers: int = 0,
-    store=None,
-) -> FigureResult:
-    """Reproduce Figure 9 and return its series (see :func:`render`)."""
-    return render(
-        spec(
-            config,
-            scale,
-            group_sizes=group_sizes,
-            degrees=degrees,
-            fractions=fractions,
-            false_positive_rate=false_positive_rate,
-        ),
-        session=simulation,
-        workers=workers,
-        density_workers=density_workers,
-        store=store,
-    )

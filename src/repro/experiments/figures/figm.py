@@ -46,7 +46,6 @@ from repro.localization.base import LOCALIZERS
 from repro.localization.beacons import BeaconSpec
 
 __all__ = [
-    "run",
     "render",
     "spec",
     "MatrixFigure",
@@ -108,10 +107,10 @@ def _effective_beacons(scenario: ScenarioSpec) -> Optional[dict]:
 class MatrixFigure:
     """One preset of the matrix: its identity and default axes.
 
-    ``spec``, ``render`` and ``run`` have the interface of a figure
-    module.  A *single_attack* preset (Figure L) plots the first attack
-    only, titles its panels by compromise fraction and names that attack
-    in its parameters.
+    ``spec`` and ``render`` have the interface of a figure module.  A
+    *single_attack* preset (Figure L) plots the first attack only, titles
+    its panels by compromise fraction and names that attack in its
+    parameters.
     """
 
     figure_id: str
@@ -229,30 +228,6 @@ class MatrixFigure:
                 figure.add_panel(panel)
         return figure
 
-    def run(
-        self,
-        simulation: Optional[LadSession] = None,
-        config: Optional[SimulationConfig] = None,
-        scale: float = 1.0,
-        *,
-        workers: int = 0,
-        density_workers: int = 0,
-        store=None,
-        **axes,
-    ) -> FigureResult:
-        """Reproduce the figure and return its series.
-
-        *axes* are the keyword axes of :meth:`spec`; the rest is as in
-        :meth:`render`.
-        """
-        return self.render(
-            self.spec(config, scale, **axes),
-            session=simulation,
-            workers=workers,
-            density_workers=density_workers,
-            store=store,
-        )
-
 
 #: Figure M: every scheme against every attack.
 FIGM = MatrixFigure(
@@ -275,4 +250,3 @@ FIGL = MatrixFigure(
 
 spec = FIGM.spec
 render = FIGM.render
-run = FIGM.run

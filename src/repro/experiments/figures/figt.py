@@ -24,13 +24,11 @@ from typing import Optional, Sequence
 
 from repro.events.timeline import EventSpec, TimelineSpec
 from repro.experiments.config import SimulationConfig
-from repro.experiments.figures.common import resolve_session
 from repro.experiments.results import FigureResult, PanelResult, SeriesResult
 from repro.experiments.scenario import ScenarioSpec
 from repro.experiments.session import LadSession
 
 __all__ = [
-    "run",
     "render",
     "spec",
     "DEFAULT_TIMELINE",
@@ -126,7 +124,8 @@ def render(
     del density_workers
 
     timeline = scenario.timeline or DEFAULT_TIMELINE
-    session = resolve_session(session, spec=scenario, store=store)
+    if session is None:
+        session = scenario.session(store=store)
     runner = session.temporal(timeline, workers=workers)
     outcomes = runner.outcomes(
         scenario.points(), false_positive_rate=scenario.false_positive_rate
@@ -192,33 +191,3 @@ def render(
         )
         figure.add_panel(panel)
     return figure
-
-
-def run(
-    simulation: Optional[LadSession] = None,
-    config: Optional[SimulationConfig] = None,
-    scale: float = 1.0,
-    *,
-    timeline: Optional[TimelineSpec] = None,
-    degrees: Sequence[float] = DEGREES_OF_DAMAGE,
-    fractions: Sequence[float] = COMPROMISED_FRACTIONS,
-    false_positive_rate: float = FALSE_POSITIVE_RATE,
-    workers: int = 0,
-    density_workers: int = 0,
-    store=None,
-) -> FigureResult:
-    """Reproduce figure T and return its series (see :func:`render`)."""
-    return render(
-        spec(
-            config,
-            scale,
-            timeline=timeline,
-            degrees=degrees,
-            fractions=fractions,
-            false_positive_rate=false_positive_rate,
-        ),
-        session=simulation,
-        workers=workers,
-        density_workers=density_workers,
-        store=store,
-    )

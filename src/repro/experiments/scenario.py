@@ -14,11 +14,12 @@ the registries at construction time, and compiles to
     >>> session = spec.session()
     >>> rates = session.sweep(workers=4).detection_rates(spec.points())
 
-Every figure driver of :mod:`repro.experiments.figures` is a
-``ScenarioSpec`` over this same engine, and the CLI runs arbitrary spec
-files via ``lad-repro sweep scenario.toml``.  New scenarios — different
-attack mixes, other metrics, denser grids, alternative localizers — are
-therefore spec files, not code.
+Every figure of :mod:`repro.experiments.figures` is a ``ScenarioSpec``
+preset over this same engine, rendered by
+:func:`~repro.experiments.figures.common.run_figure_spec`, and the CLI
+runs arbitrary spec files via ``lad-repro sweep scenario.toml``.  New
+scenarios — different attack mixes, other metrics, denser grids,
+alternative localizers — are therefore spec files, not code.
 """
 
 from __future__ import annotations
@@ -242,36 +243,6 @@ class ScenarioSpec:
                     group_size=group_size, localizer=localizer, store=store
                 )
                 yield localizer, group_size, session
-
-    # -- figure rendering --------------------------------------------------
-
-    def figure(
-        self,
-        *,
-        figure_id: Optional[str] = None,
-        session=None,
-        workers: int = 0,
-        density_workers: int = 0,
-        store: Union[ArtifactStore, str, None] = None,
-    ):
-        """Evaluate this spec end to end as one of the paper's figures.
-
-        The renderer is selected by *figure_id* (default: the spec's
-        ``name``, so a spec named ``"fig7"`` renders as Figure 7) and the
-        result is the same :class:`~repro.experiments.results.FigureResult`
-        the ``lad-repro figure`` drivers emit.  Raises ``KeyError`` when no
-        renderer is registered under that id.
-        """
-        from repro.experiments.figures.common import run_figure_spec
-
-        return run_figure_spec(
-            self,
-            figure_id=figure_id,
-            session=session,
-            workers=workers,
-            density_workers=density_workers,
-            store=store,
-        )
 
     # -- derivation --------------------------------------------------------
 

@@ -1,18 +1,58 @@
 """Tests for the per-figure experiment definitions.
 
-Each figure is run at a very small Monte-Carlo scale on a sparse network so
-the suite stays fast; the tests check structure (panels/series/labels match
-the paper's figure layout) plus the coarse qualitative trends that survive
-small sample sizes.
+Each figure is rendered through ``run_figure_spec`` at a very small
+Monte-Carlo scale on a sparse network so the suite stays fast; the tests
+check structure (panels/series/labels match the paper's figure layout)
+plus the coarse qualitative trends that survive small sample sizes.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.experiments.config import SimulationConfig
-from repro.experiments.figures import FIGURES, get_figure, run_figure
-from repro.experiments.figures import fig4, fig5, fig6, fig7, fig8, fig9
+from repro.experiments.figures import (
+    FIGURE_RENDERERS,
+    FIGURE_SPECS,
+    fig4,
+    fig5,
+    fig6,
+    fig7,
+    fig8,
+    fig9,
+    figl,
+    figm,
+    figt,
+    run_figure_spec,
+)
+from repro.experiments.scenario import ScenarioSpec
 from repro.experiments.session import LadSession
+
+
+#: The paper's (metrics, attacks, degrees, fractions) of Figures 4–8.
+PAPER_AXES = {
+    "fig4": (
+        ("diff", "add_all", "probability"),
+        ("dec_bounded",),
+        (80.0, 120.0, 160.0),
+        (0.1,),
+    ),
+    "fig5": (("diff",), ("dec_bounded", "dec_only"), (40.0, 80.0), (0.1,)),
+    "fig6": (("diff",), ("dec_bounded", "dec_only"), (120.0, 160.0), (0.1,)),
+    "fig7": (
+        ("diff",),
+        ("dec_bounded",),
+        (40.0, 60.0, 80.0, 100.0, 120.0, 140.0, 160.0),
+        (0.1, 0.2, 0.3),
+    ),
+    "fig8": (
+        ("diff",),
+        ("dec_bounded",),
+        (80.0, 120.0, 160.0),
+        (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6),
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +75,7 @@ def tiny_simulation(tiny_config):
 
 class TestRegistry:
     def test_all_figures_registered(self):
-        assert set(FIGURES) == {
+        assert set(FIGURE_SPECS) == {
             "fig4",
             "fig5",
             "fig6",
@@ -47,50 +87,82 @@ class TestRegistry:
             "figt",
         }
 
-    def test_get_figure_lookup(self):
-        assert get_figure("FIG7") is fig7.run
-        with pytest.raises(KeyError):
-            get_figure("fig99")
-
     def test_renderers_cover_every_figure(self):
-        from repro.experiments.figures import FIGURE_RENDERERS, FIGURE_SPECS
+        assert set(FIGURE_RENDERERS) == set(FIGURE_SPECS)
 
-        assert set(FIGURE_RENDERERS) == set(FIGURES) == set(FIGURE_SPECS)
+    @pytest.mark.parametrize("figure_id", sorted(PAPER_AXES))
+    def test_presets_keep_the_paper_axes(self, figure_id):
+        spec = FIGURE_SPECS[figure_id]()
+        assert spec.name == figure_id
+        axes = (spec.metrics, spec.attacks, spec.degrees, spec.fractions)
+        assert axes == PAPER_AXES[figure_id]
+        assert spec.false_positive_rate == 0.01
+        assert spec.config == SimulationConfig()
 
 
 class TestSpecRendering:
-    """``run_figure_spec`` / ``ScenarioSpec.figure`` reproduce the drivers."""
+    """``run_figure_spec`` renders a spec through the renderer of its name."""
 
-    @pytest.mark.parametrize("figure_id", ["fig4", "fig5", "fig7", "fig8"])
-    def test_run_figure_spec_matches_run_driver(
-        self, figure_id, tiny_config, tiny_simulation
-    ):
-        from repro.experiments.figures import FIGURE_SPECS, run_figure_spec
-
-        spec = FIGURE_SPECS[figure_id](tiny_config)
-        via_spec = run_figure_spec(spec, session=tiny_simulation)
-        via_run = run_figure(figure_id, simulation=tiny_simulation)
-        assert via_spec.as_dict() == via_run.as_dict()
-
-    def test_scenario_spec_figure_method(self, tiny_config, tiny_simulation):
-        from repro.experiments.figures import fig7 as fig7_module
-
-        spec = fig7_module.spec(tiny_config, degrees=(160.0,), fractions=(0.1,))
-        result = spec.figure(session=tiny_simulation)
+    def test_spec_renders_by_its_name(self, tiny_config, tiny_simulation):
+        spec = fig7.spec(tiny_config, degrees=(160.0,), fractions=(0.1,))
+        result = run_figure_spec(spec, session=tiny_simulation)
         assert result.figure_id == "fig7"
         assert result.get_panel("DR-D-x").get_series("x=10%")
 
-    def test_unregistered_spec_name_raises(self, tiny_config):
-        from repro.experiments.scenario import ScenarioSpec
+    def test_figure_id_lookup(self, tiny_config, tiny_simulation):
+        """An explicit id overrides the spec's name, case-insensitively."""
+        spec = replace(
+            fig7.spec(tiny_config, degrees=(160.0,), fractions=(0.1,)), name="mine"
+        )
+        result = run_figure_spec(spec, figure_id="FIG7", session=tiny_simulation)
+        assert result.figure_id == "fig7"
+        with pytest.raises(KeyError, match="no figure renderer"):
+            run_figure_spec(spec, figure_id="fig99")
 
+    def test_unregistered_spec_name_raises(self, tiny_config):
         spec = ScenarioSpec(name="not_a_figure", config=tiny_config)
         with pytest.raises(KeyError, match="no figure renderer"):
-            spec.figure()
+            run_figure_spec(spec)
+
+
+class TestRemovedEntryPoints:
+    """``run_figure_spec`` is the only way to render a figure."""
+
+    @pytest.mark.parametrize("name", ["FIGURES", "get_figure", "run_figure"])
+    def test_figure_registry_functions_removed(self, name):
+        import repro
+        import repro.experiments.figures as figures
+
+        assert not hasattr(figures, name)
+        with pytest.raises(AttributeError, match=name):
+            getattr(repro, name)
+
+    def test_run_drivers_removed(self):
+        for figure in (fig4, fig5, fig6, fig7, fig8, fig9, figl, figm, figt):
+            assert not hasattr(figure, "run"), figure
+        assert not hasattr(ScenarioSpec, "figure")
+
+    def test_roc_and_rate_helpers_removed(self):
+        from repro.experiments.figures import common
+
+        for name in (
+            "resolve_session",
+            "resolve_simulation",
+            "roc_series",
+            "run_roc_figure",
+            "run_rate_figure",
+            "_axis_point",
+        ):
+            assert not hasattr(common, name), name
+        with pytest.raises(ModuleNotFoundError):
+            import repro.experiments.figures.fig4  # noqa: F401
 
 
 class TestFig4(object):
     def test_structure_and_trends(self, tiny_simulation):
-        result = fig4.run(simulation=tiny_simulation, degrees=(80.0, 160.0))
+        result = run_figure_spec(
+            fig4.spec(degrees=(80.0, 160.0)), session=tiny_simulation
+        )
         assert result.figure_id == "fig4"
         assert [p.title for p in result.panels] == ["D=80", "D=160"]
         for panel in result.panels:
@@ -108,7 +180,7 @@ class TestFig4(object):
 
 class TestFig5AndFig6:
     def test_fig5_structure(self, tiny_simulation):
-        result = fig5.run(simulation=tiny_simulation, degrees=(40.0,))
+        result = run_figure_spec(fig5.spec(degrees=(40.0,)), session=tiny_simulation)
         assert result.figure_id == "fig5"
         panel = result.get_panel("D=40")
         labels = [s.label for s in panel.series]
@@ -119,15 +191,16 @@ class TestFig5AndFig6:
         assert np.mean(np.array(only.y) - np.array(bounded.y)) >= -0.05
 
     def test_fig6_reuses_fig5_with_large_degrees(self, tiny_simulation):
-        result = fig6.run(simulation=tiny_simulation, degrees=(160.0,))
+        result = run_figure_spec(fig6.spec(degrees=(160.0,)), session=tiny_simulation)
         assert result.figure_id == "fig6"
         assert [p.title for p in result.panels] == ["D=160"]
 
 
 class TestFig7:
     def test_structure_and_trend(self, tiny_simulation):
-        result = fig7.run(
-            simulation=tiny_simulation, degrees=(40.0, 160.0), fractions=(0.1,)
+        result = run_figure_spec(
+            fig7.spec(degrees=(40.0, 160.0), fractions=(0.1,)),
+            session=tiny_simulation,
         )
         panel = result.get_panel("DR-D-x")
         series = panel.get_series("x=10%")
@@ -138,8 +211,9 @@ class TestFig7:
 
 class TestFig8:
     def test_structure_and_trend(self, tiny_simulation):
-        result = fig8.run(
-            simulation=tiny_simulation, fractions=(0.0, 0.5), degrees=(160.0,)
+        result = run_figure_spec(
+            fig8.spec(fractions=(0.0, 0.5), degrees=(160.0,)),
+            session=tiny_simulation,
         )
         panel = result.get_panel("DR-x-D")
         series = panel.get_series("D=160")
@@ -150,11 +224,10 @@ class TestFig8:
 
 class TestFig9:
     def test_structure(self, tiny_config):
-        result = fig9.run(
-            config=tiny_config,
-            group_sizes=(40, 80),
-            degrees=(160.0,),
-            fractions=(0.1,),
+        result = run_figure_spec(
+            fig9.spec(
+                tiny_config, group_sizes=(40, 80), degrees=(160.0,), fractions=(0.1,)
+            )
         )
         assert result.figure_id == "fig9"
         panel = result.get_panel("D=160")
@@ -165,14 +238,11 @@ class TestFig9:
     def test_density_fan_out_matches_serial(self, tiny_config):
         """Each density trains its own thresholds, so fig9 fans out across
         densities; the name-derived streams make the result identical."""
-        kwargs = dict(
-            config=tiny_config,
-            group_sizes=(40, 80),
-            degrees=(160.0,),
-            fractions=(0.1, 0.3),
+        spec = fig9.spec(
+            tiny_config, group_sizes=(40, 80), degrees=(160.0,), fractions=(0.1, 0.3)
         )
-        serial = fig9.run(**kwargs)
-        parallel = fig9.run(**kwargs, density_workers=2)
+        serial = run_figure_spec(spec)
+        parallel = run_figure_spec(spec, density_workers=2)
         for panel_serial, panel_parallel in zip(serial.panels, parallel.panels):
             for a, b in zip(panel_serial.series, panel_parallel.series):
                 assert a.label == b.label
@@ -186,11 +256,10 @@ class TestFig9:
 
         monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", broken_pool)
         with pytest.warns(RuntimeWarning, match="falling back to the serial path"):
-            result = fig9.run(
-                config=tiny_config,
-                group_sizes=(40,),
-                degrees=(160.0,),
-                fractions=(0.1,),
+            result = run_figure_spec(
+                fig9.spec(
+                    tiny_config, group_sizes=(40,), degrees=(160.0,), fractions=(0.1,)
+                ),
                 density_workers=2,
             )
         assert result.figure_id == "fig9"
@@ -201,19 +270,15 @@ class TestFig9:
         from repro.experiments.store import ArtifactStore
 
         store = ArtifactStore(tmp_path)
-        kwargs = dict(
-            config=tiny_config,
-            group_sizes=(40, 80),
-            degrees=(160.0,),
-            fractions=(0.1, 0.3),
-            store=store,
+        spec = fig9.spec(
+            tiny_config, group_sizes=(40, 80), degrees=(160.0,), fractions=(0.1, 0.3)
         )
-        cold = fig9.run(**kwargs)
+        cold = run_figure_spec(spec, store=store)
         assert store.miss_counts["attacked_scores"] == 4
         store.hits = store.misses = 0
         store.hit_counts.clear()
         store.miss_counts.clear()
-        warm = fig9.run(**kwargs)
+        warm = run_figure_spec(spec, store=store)
         assert warm.as_dict() == cold.as_dict()
         assert store.misses == 0
         assert store.hit_counts["attacked_scores"] == 4
@@ -222,14 +287,13 @@ class TestFig9:
 
 class TestFigL:
     def test_structure_and_localizer_series(self, tiny_config):
-        from repro.experiments.figures import figl
-
-        result = figl.run(
-            config=tiny_config,
+        spec = figl.spec(
+            tiny_config,
             localizers=("beaconless", "centroid"),
             degrees=(80.0, 160.0),
             fractions=(0.1,),
         )
+        result = run_figure_spec(spec)
         assert result.figure_id == "figl"
         panel = result.get_panel("x=10%")
         assert [s.label for s in panel.series] == ["beaconless", "centroid"]
@@ -240,16 +304,14 @@ class TestFigL:
         assert result.parameters["beacons"] is not None
 
     def test_localizer_fan_out_matches_serial(self, tiny_config):
-        from repro.experiments.figures import figl
-
-        kwargs = dict(
-            config=tiny_config,
+        spec = figl.spec(
+            tiny_config,
             localizers=("beaconless", "centroid"),
             degrees=(160.0,),
             fractions=(0.1,),
         )
-        serial = figl.run(**kwargs)
-        parallel = figl.run(**kwargs, density_workers=2)
+        serial = run_figure_spec(spec)
+        parallel = run_figure_spec(spec, density_workers=2)
         for panel_serial, panel_parallel in zip(serial.panels, parallel.panels):
             for a, b in zip(panel_serial.series, panel_parallel.series):
                 assert a.label == b.label
@@ -258,15 +320,14 @@ class TestFigL:
 
 class TestFigM:
     def test_structure_is_the_attack_by_localizer_matrix(self, tiny_config):
-        from repro.experiments.figures import figm
-
-        result = figm.run(
-            config=tiny_config,
+        spec = figm.spec(
+            tiny_config,
             localizers=("dvhop", "rssi"),
             attacks=("dec_bounded", "rssi_amp"),
             degrees=(120.0,),
             fractions=(0.1,),
         )
+        result = run_figure_spec(spec)
         assert result.figure_id == "figm"
         assert [panel.title for panel in result.panels] == [
             "attack=dec_bounded",
@@ -288,15 +349,14 @@ class TestFigM:
         benign one and the detection rate sits at (or below) the
         false-positive budget.
         """
-        from repro.experiments.figures import figm
-
-        result = figm.run(
-            config=tiny_config,
+        spec = figm.spec(
+            tiny_config,
             localizers=("dvhop", "rssi"),
             attacks=("rssi_amp",),
             degrees=(120.0,),
             fractions=(0.1,),
         )
+        result = run_figure_spec(spec)
         panel = result.get_panel("attack=rssi_amp")
         dvhop_rate = panel.get_series("dvhop").y[0]
         rssi_rate = panel.get_series("rssi").y[0]
@@ -304,53 +364,37 @@ class TestFigM:
         assert rssi_rate > dvhop_rate  # the attacked modality is detectable
 
     def test_localizer_fan_out_matches_serial(self, tiny_config):
-        from repro.experiments.figures import figm
-
-        kwargs = dict(
-            config=tiny_config,
+        spec = figm.spec(
+            tiny_config,
             localizers=("dvhop", "rssi"),
             attacks=("dec_bounded", "rssi_amp"),
             degrees=(120.0,),
             fractions=(0.1,),
         )
-        serial = figm.run(**kwargs)
-        parallel = figm.run(**kwargs, density_workers=2)
+        serial = run_figure_spec(spec)
+        parallel = run_figure_spec(spec, density_workers=2)
         for panel_serial, panel_parallel in zip(serial.panels, parallel.panels):
             for a, b in zip(panel_serial.series, panel_parallel.series):
                 assert a.label == b.label
                 assert a.y == b.y
 
-    def test_spec_render_matches_run_driver(self, tiny_config):
-        from repro.experiments.figures import figm, run_figure_spec
-
-        kwargs = dict(
-            localizers=("dvhop", "rssi"),
-            attacks=("dec_bounded", "rssi_amp"),
-            degrees=(120.0,),
-            fractions=(0.1,),
-        )
-        spec = figm.spec(tiny_config, **kwargs)
-        via_spec = run_figure_spec(spec)
-        via_run = figm.run(config=tiny_config, **kwargs)
-        assert via_spec.as_dict() == via_run.as_dict()
-
 
 class TestFigT:
     def test_structure_and_online_metrics(self, tiny_config):
         from repro.events import EventSpec, TimelineSpec
-        from repro.experiments.figures import figt
 
         timeline = TimelineSpec(
             epochs=4,
             events=(EventSpec(kind="attack", action="on", at=(2.0,)),),
         )
-        result = figt.run(
-            config=tiny_config,
+        spec = figt.spec(
+            tiny_config,
             timeline=timeline,
             degrees=(160.0,),
             fractions=(0.1,),
             false_positive_rate=0.05,
         )
+        result = run_figure_spec(spec)
         assert result.figure_id == "figt"
         assert len(result.panels) == 1
         panel = result.panels[0]
@@ -369,15 +413,3 @@ class TestFigT:
         (point,) = result.parameters["points"]
         assert point["detection_latency"] == 2
         assert result.parameters["epochs"] == 4
-
-
-class TestRunFigureDispatch:
-    def test_run_figure_with_scale(self, tiny_config):
-        result = run_figure(
-            "fig7",
-            config=tiny_config,
-            scale=1.0,
-            degrees=(160.0,),
-            fractions=(0.1,),
-        )
-        assert result.figure_id == "fig7"

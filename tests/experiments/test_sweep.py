@@ -300,19 +300,11 @@ class TestSharedKnowledge:
 
 class TestFigureIntegration:
     def test_fig7_accepts_workers(self, tiny_simulation):
-        from repro.experiments.figures import fig7
+        from repro.experiments.figures import fig7, run_figure_spec
 
-        serial = fig7.run(
-            simulation=tiny_simulation,
-            degrees=(160.0,),
-            fractions=(0.1,),
-        )
-        parallel = fig7.run(
-            simulation=tiny_simulation,
-            degrees=(160.0,),
-            fractions=(0.1,),
-            workers=2,
-        )
+        spec = fig7.spec(degrees=(160.0,), fractions=(0.1,))
+        serial = run_figure_spec(spec, session=tiny_simulation)
+        parallel = run_figure_spec(spec, session=tiny_simulation, workers=2)
         assert serial.get_panel("DR-D-x").get_series("x=10%").y == (
             parallel.get_panel("DR-D-x").get_series("x=10%").y
         )

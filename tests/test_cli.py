@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.figures import FIGURE_SPECS
 
 TINY_SPEC = """\
 name = "cli_tiny"
@@ -46,6 +47,13 @@ class TestParser:
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
+
+    def test_config_flags_default_to_the_spec(self):
+        """Omitted ``--group-size``/``--radio-range``/``--seed`` parse as
+        ``None``: the spec's own ``[config]`` value stands."""
+        for argv in (["figure", "fig7"], ["sweep", "spec.toml"]):
+            args = build_parser().parse_args(argv)
+            assert (args.group_size, args.radio_range, args.seed) == (None,) * 3
 
     def test_every_subcommand_binds_a_handler(self):
         """Dispatch runs through the handler table: each sub-parser sets
@@ -165,6 +173,48 @@ class TestSweepCommand:
             ]
 
         assert rows(cold) == rows(warm)
+
+    def test_seed_flag_reseeds_the_spec(self, capsys, tmp_path):
+        """``sweep SPEC --seed 5`` equals the spec with ``seed = 5`` in its
+        ``[config]``, and differs from the spec's own seed."""
+        spec_path = tmp_path / "tiny.toml"
+        spec_path.write_text(TINY_SPEC)
+        edited_path = tmp_path / "tiny_seed5.toml"
+        edited_path.write_text(TINY_SPEC.replace("seed = 777", "seed = 5"))
+        csvs = {name: tmp_path / f"{name}.csv" for name in ("own", "flag", "edited")}
+        assert main(["sweep", str(spec_path), "--csv", str(csvs["own"])]) == 0
+        flag_argv = ["sweep", str(spec_path), "--seed", "5", "--csv", str(csvs["flag"])]
+        assert main(flag_argv) == 0
+        assert main(["sweep", str(edited_path), "--csv", str(csvs["edited"])]) == 0
+        capsys.readouterr()
+        assert csvs["flag"].read_bytes() == csvs["edited"].read_bytes()
+        assert csvs["flag"].read_bytes() != csvs["own"].read_bytes()
+
+    def test_group_size_and_radio_range_flags_reach_the_config(self, capsys, tmp_path):
+        spec_path = tmp_path / "tiny.toml"
+        spec_path.write_text(TINY_SPEC)
+        json_path = tmp_path / "out.json"
+        argv = ["sweep", str(spec_path), "--group-size", "30", "--radio-range", "60"]
+        assert main([*argv, "--json", str(json_path)]) == 0
+        out = capsys.readouterr().out
+        config = json.loads(json_path.read_text())["spec"]["config"]
+        assert (config["group_size"], config["radio_range"]) == (30, 60.0)
+        assert config["seed"] == 777
+        assert "    30 " in out
+
+    def test_group_size_rejected_on_a_density_axis(self, tmp_path):
+        """A ``group_sizes`` axis overrides ``config.group_size`` in every
+        session, so ``--group-size`` would be silently dropped: it raises."""
+        spec_path = tmp_path / "density.toml"
+        spec_path.write_text(
+            TINY_SPEC.replace(
+                "fractions = [0.1]", "fractions = [0.1]\ngroup_sizes = [40]"
+            )
+        )
+        with pytest.raises(ValueError, match="group_sizes"):
+            main(["sweep", str(spec_path), "--group-size", "60"])
+        with pytest.raises(ValueError, match="group_sizes"):
+            main(["figure", "fig9", "--scale", "0.05", "--group-size", "40"])
 
     def test_sweep_rejects_bad_spec(self, tmp_path):
         bad = tmp_path / "bad.toml"
@@ -522,6 +572,57 @@ class TestSweepFiguresMode:
         assert main(["sweep", "--figures", str(spec_path)]) == 0
         out = capsys.readouterr().out
         assert "fig7" in out and "DR-D-x" in out
+
+    @pytest.mark.parametrize("figure_id", sorted(FIGURE_SPECS))
+    def test_every_figure_renders_from_its_spec_file(self, figure_id, capsys, tmp_path):
+        """Each registered spec round-trips through a TOML file, and
+        ``sweep --figures FILE`` renders it exactly as ``figure ID`` does."""
+        from repro.experiments.config import SimulationConfig
+        from repro.experiments.scenario import ScenarioSpec
+
+        config = SimulationConfig(group_size=40, seed=11)
+        spec = FIGURE_SPECS[figure_id](config=config, scale=0.05)
+        spec_path = tmp_path / f"{figure_id}.toml"
+        spec.to_file(spec_path)
+        assert ScenarioSpec.from_file(spec_path) == spec
+        file_json = tmp_path / "file.json"
+        file_argv = ["sweep", "--figures", str(spec_path), "--json", str(file_json)]
+        assert main(file_argv) == 0
+        args = ["--scale", "0.05", "--seed", "11"]
+        if figure_id != "fig9":  # fig9's group_sizes axis sets every density
+            args += ["--group-size", "40"]
+        figure_json = tmp_path / "figure.json"
+        assert main(["figure", figure_id, *args, "--json", str(figure_json)]) == 0
+        capsys.readouterr()
+        assert json.loads(file_json.read_text()) == json.loads(figure_json.read_text())
+
+    def test_spec_file_route_applies_config_flags(self, capsys, tmp_path):
+        """``--seed`` reaches the ``[config]`` of a figure spec file too."""
+        from repro.experiments.config import SimulationConfig
+        from repro.experiments.figures import fig7
+
+        spec = fig7.spec(SimulationConfig(group_size=40, seed=11), scale=0.05)
+        spec_path = tmp_path / "fig7.toml"
+        spec.to_file(spec_path)
+        file_json = tmp_path / "file.json"
+        figure_json = tmp_path / "figure.json"
+        file_argv = ["sweep", "--figures", str(spec_path), "--seed", "5"]
+        assert main([*file_argv, "--json", str(file_json)]) == 0
+        reseeded = ["--scale", "0.05", "--group-size", "40", "--seed", "5"]
+        assert main(["figure", "fig7", *reseeded, "--json", str(figure_json)]) == 0
+        seed11_json = tmp_path / "seed11.json"
+        assert main(["figure", "fig7", *self.ARGS, "--json", str(seed11_json)]) == 0
+        capsys.readouterr()
+        assert json.loads(file_json.read_text()) == json.loads(figure_json.read_text())
+        assert file_json.read_text() != seed11_json.read_text()
+
+    def test_figure_reports_cache_counts(self, capsys, tmp_path):
+        """``figure`` runs the ``sweep --figures`` body, cache lines included."""
+        args = ["figure", "fig7", *self.ARGS, "--cache-dir", str(tmp_path)]
+        assert main(args) == 0
+        assert "cache: 0 hit(s)" in capsys.readouterr().out
+        assert main(args) == 0
+        assert ", 0 miss(es)" in capsys.readouterr().out
 
     def test_figures_mode_rejects_unknown_id(self):
         with pytest.raises(ValueError, match="neither a spec file"):
