@@ -15,7 +15,8 @@ rest of the system.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -32,6 +33,24 @@ __all__ = ["DeploymentKnowledge"]
 #: ``1.0 - p == 1.0`` in float64 (so the unobserved ``(m - k) log(1 - p)``
 #: term is an exact zero) whenever ``p <= 2**-55``.
 _PRUNE_TINY = 2.0**-55
+
+#: Memory budget of each per-knowledge likelihood cache (the squared-distance
+#: table and the coarse-lattice terms); a cache that would not fit is not
+#: built and its kernel keeps the per-call path.
+_CACHE_BUDGET_BYTES = 32 * 2**20
+
+#: Largest coordinate magnitude the squared-distance table accepts: axis
+#: offsets stay below ``2**26``, so every squared offset and their sum are
+#: exact in float64 and ``sqrt(s)`` is the correctly rounded distance.
+_EXACT_COORDINATE = 2.0**25
+
+
+def _exact_integers(values: np.ndarray) -> bool:
+    """Whether every value is an integer within :data:`_EXACT_COORDINATE`."""
+    return bool(
+        np.all(np.abs(values) <= _EXACT_COORDINATE)
+        and np.all(values == np.floor(values))
+    )
 
 
 class DeploymentKnowledge:
@@ -95,6 +114,7 @@ class DeploymentKnowledge:
         self._gz = gz_table
         self._group_tree: Optional[cKDTree] = None
         self._support_radius: Optional[float] = None
+        self._lattice_terms: Optional[tuple[bytes, Optional[tuple]]] = None
 
     # -- transport ---------------------------------------------------------
 
@@ -224,6 +244,12 @@ class DeploymentKnowledge:
         can be skipped without changing the likelihood sum.  ``inf`` when
         the table still carries non-negligible mass at its upper end (the
         pruned kernels then fall back to the dense path).
+
+        The pruned refinement kernel of :meth:`log_likelihood_grids` reads
+        this radius twice: as the reach of the active group sets, and as
+        the end of its squared-distance table — integer squared distances
+        ``s`` with ``√s`` at or beyond the radius all read the table's
+        exact ``0.0``.
         """
         if self._support_radius is None:
             knots = self._gz.table.knots
@@ -414,15 +440,7 @@ class DeploymentKnowledge:
         Array of shape ``(k, c)`` with the total log-likelihood of each
         observation at each candidate.
         """
-        from repro.utils.stats import binomial_log_coefficient
-
-        obs = np.atleast_2d(np.asarray(observations, dtype=np.float64))
-        if obs.shape[1] != self.n_groups:
-            raise ValueError(
-                f"observations must have {self.n_groups} columns, "
-                f"got {obs.shape[1]}"
-            )
-        m = float(self._group_size)
+        obs = self._check_observations(observations)
         locs = as_points(locations)
         active = self._shared_active_set(locs, obs) if prune else None
         if active is not None:
@@ -430,14 +448,63 @@ class DeploymentKnowledge:
             probs = self._membership_fast(locs, active)
         else:
             probs = self._membership_fast(locs)
+        return self._binomial_batch(obs, *self._batch_terms(probs))
 
-        coeff = binomial_log_coefficient(obs, m)
-        coeff = np.where((obs < 0) | (obs > m), -np.inf, coeff)
-        row_coeff = coeff.sum(axis=1)
+    def log_likelihood_lattice(self, lattice, covered, observations) -> np.ndarray:
+        """:meth:`log_likelihood_batch` at ``lattice[covered]``, from cached terms.
 
+        A localizer scores every batch against the same region-wide
+        lattice, so the lattice's membership probabilities and their logs
+        are built once per knowledge and lattice, then sliced by each
+        call's boolean *covered* mask.  Every term is computed element by
+        element, so the slices equal the terms of ``lattice[covered]``
+        bit for bit and the same operands reach the same matrix products:
+        the result is that of
+        ``log_likelihood_batch(lattice[covered], observations)``.  A lattice
+        whose terms would exceed the cache budget keeps that per-call path.
+        """
+        lattice = as_points(lattice)
+        key = lattice.tobytes()
+        cached = self._lattice_terms
+        if cached is None or cached[0] != key:
+            terms = None
+            if 3 * 8 * lattice.shape[0] * self.n_groups <= _CACHE_BUDGET_BYTES:
+                terms = self._batch_terms(self._membership_fast(lattice))
+                for term in terms:
+                    term.flags.writeable = False
+            cached = self._lattice_terms = (key, terms)
+        if cached[1] is None:
+            return self.log_likelihood_batch(lattice[covered], observations)
+        obs = self._check_observations(observations)
+        return self._binomial_batch(obs, *(term[covered] for term in cached[1]))
+
+    def _check_observations(self, observations) -> np.ndarray:
+        obs = np.atleast_2d(np.asarray(observations, dtype=np.float64))
+        if obs.shape[1] != self.n_groups:
+            raise ValueError(
+                f"observations must have {self.n_groups} columns, "
+                f"got {obs.shape[1]}"
+            )
+        return obs
+
+    @staticmethod
+    def _batch_terms(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(p, log p, log(1 − p))`` of a membership matrix, element by element."""
         with np.errstate(divide="ignore", invalid="ignore"):
             log_p = np.log(np.where(probs > 0, probs, 1.0))
             log_q = np.log(np.where(probs < 1, 1.0 - probs, 1.0))
+        return probs, log_p, log_q
+
+    def _binomial_batch(
+        self, obs: np.ndarray, probs: np.ndarray, log_p: np.ndarray, log_q: np.ndarray
+    ) -> np.ndarray:
+        """The ``(k, c)`` matmul reduction of :meth:`log_likelihood_batch`."""
+        from repro.utils.stats import binomial_log_coefficient
+
+        m = float(self._group_size)
+        coeff = binomial_log_coefficient(obs, m)
+        coeff = np.where((obs < 0) | (obs > m), -np.inf, coeff)
+        row_coeff = coeff.sum(axis=1)
         ll = self._backend.binomial_loglik(row_coeff, obs, m, log_p, log_q)
 
         # Degenerate probabilities force the count: p == 0 requires k == 0
@@ -483,6 +550,10 @@ class DeploymentKnowledge:
           ``(m − k) · log(1 − p)`` term, whose far-group entries are exact
           zeros.
 
+        Every pair runs the full chain distance → ``g(z)`` lookup →
+        ``log(1 − p)``; :meth:`log_likelihood_grids` is the table-driven
+        form of the pruned kernel for axis-product candidate grids.
+
         Parameters
         ----------
         locations:
@@ -519,97 +590,278 @@ class DeploymentKnowledge:
         if locs.shape[0] != int(counts.sum()):
             raise ValueError("segment counts do not add up to len(locations)")
         m = float(self._group_size)
+        reaches_one = bool(np.any(self._gz.table.values >= 1.0))
+        rows_active = None
         if active is not None:
-            pruned = self._segmented_pruned(locs, obs, counts, active)
-            if pruned is not None:
-                return pruned
-        probs = self._membership_fast(locs)
-
-        obs_rep = np.repeat(obs, counts, axis=0)
-        reaches_one = bool(np.any(self._gz.table.values >= 1.0))
-        out = self._backend.segmented_loglik(
-            obs_rep,
-            probs,
-            m,
-            reaches_one=reaches_one,
-            log_coefficients=self._log_coefficients,
-        )
-
-        # Out-of-support observations poison their whole segment, exactly as
-        # the reference -inf masking does (every element of such a row is
-        # -inf before the row sum there, so forcing the summed value is the
-        # same number).
-        invalid = np.any((obs < 0) | (obs > m), axis=1)
-        if np.any(invalid):
-            out[np.repeat(invalid, counts)] = -np.inf
-        return out
-
-    def _segmented_pruned(
-        self,
-        locs: np.ndarray,
-        obs: np.ndarray,
-        counts: np.ndarray,
-        active: Sequence[np.ndarray],
-    ) -> Optional[np.ndarray]:
-        """Sparse evaluation of the segmented kernel over per-row active sets.
-
-        Returns ``None`` when the active sets would cover at least the
-        backend's dense-fallback fraction of the ``(candidate, group)``
-        pairs — the dense matmul path wins there.
-        Every scored pair reuses the exact distance (``cdist`` evaluates
-        pairs independently) and the same per-pair arithmetic as the dense
-        kernel, so the flat result differs from it only by the summation
-        order of terms that are exact zeros in both.
-        """
-        if len(active) != obs.shape[0]:
-            raise ValueError("need one active-group set per observation row")
-        rows_active = [
-            np.union1d(
-                np.asarray(active[row], dtype=np.int64),
-                np.flatnonzero(obs[row] != 0),
-            )
-            for row in range(obs.shape[0])
-        ]
-        sizes = np.array([a.size for a in rows_active], dtype=np.int64)
-        total = int(counts.sum())
-        n_pairs = int((sizes * counts).sum())
-        if n_pairs >= self._dense_fallback * total * self.n_groups:
-            return None
-
-        m = float(self._group_size)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        dist_parts: list[np.ndarray] = []
-        k_parts: list[np.ndarray] = []
-        cand_parts: list[np.ndarray] = []
-        for row, groups in enumerate(rows_active):
-            c = int(counts[row])
-            if c == 0 or groups.size == 0:
-                continue
-            block = locs[offsets[row] : offsets[row + 1]]
-            dist_parts.append(
-                self._model.distances_to_groups(block, groups).ravel()
-            )
-            k_parts.append(np.tile(obs[row, groups], c))
-            cand_parts.append(
-                np.repeat(np.arange(offsets[row], offsets[row + 1]), groups.size)
-            )
-
-        out = np.zeros(total, dtype=np.float64)
-        reaches_one = bool(np.any(self._gz.table.values >= 1.0))
-        if dist_parts:
-            probs = self._gz.fast_lookup(np.concatenate(dist_parts))
-            k = np.concatenate(k_parts)
-            cand = np.concatenate(cand_parts)
-            out = self._backend.sparse_segment_loglik(
-                k,
-                probs,
+            rows_active = self._rows_active(obs, counts, active)
+        if rows_active is None:
+            out = self._backend.segmented_loglik(
+                np.repeat(obs, counts, axis=0),
+                self._membership_fast(locs),
                 m,
-                cand,
-                total,
                 reaches_one=reaches_one,
                 log_coefficients=self._log_coefficients,
             )
+        else:
+            # Every scored pair reuses the exact distance (``cdist``
+            # evaluates pairs independently) and the same per-pair
+            # arithmetic as the dense kernel.
+            offsets = np.concatenate([[0], np.cumsum(counts)])
+            pairs = self._active_pairs(
+                obs,
+                counts,
+                rows_active,
+                lambda row, groups: self._model.distances_to_groups(
+                    locs[offsets[row] : offsets[row + 1]], groups
+                ),
+            )
+            out = np.zeros(locs.shape[0], dtype=np.float64)
+            if pairs is not None:
+                distances, k, cand = pairs
+                out = self._backend.sparse_segment_loglik(
+                    k,
+                    self._gz.fast_lookup(distances),
+                    m,
+                    cand,
+                    out.size,
+                    reaches_one=reaches_one,
+                    log_coefficients=self._log_coefficients,
+                )
+        return self._poison_invalid(out, obs, counts)
 
+    def log_likelihood_grids(
+        self,
+        axes: Sequence[tuple[np.ndarray, np.ndarray]],
+        observations,
+        active: Sequence[np.ndarray],
+    ) -> np.ndarray:
+        """The pruned segmented kernel over per-row axis-product grids.
+
+        Row ``i`` of *observations* is scored at every point of the grid
+        spanned by ``axes[i] = (xs, ys)``, y-major and x-minor (the order of
+        ``np.meshgrid(xs, ys)``), against its active group set
+        ``active[i]``.  The flat result is bit-identical to
+        :meth:`log_likelihood_segmented` on the concatenated grid points
+        with the same *active* sets, dense fallback included.
+
+        When every axis value and every deployment point is an integer,
+        each pair's squared distance ``s = dx² + dy²`` is an exact integer,
+        built as one broadcast add of per-axis squared offsets.  The
+        unobserved ``(m − k) · log(1 − p)`` term then is one gather from a
+        per-knowledge table of ``log(1 − g(√s))``; ``s`` past the table's
+        end (the support radius) reads its exact ``0.0``, so the table *is*
+        the support-radius pruning.  Observed pairs (``k > 0``) keep the
+        full chain on ``√s`` — the correctly rounded distance ``cdist``
+        returns — and each kernel keeps its own reduction, so every
+        candidate's log-likelihood keeps its bits.  Calls with a
+        non-integer row, and knowledge without a table (see
+        :attr:`_squared_distance_table`), run
+        :meth:`log_likelihood_segmented` instead.
+
+        Parameters
+        ----------
+        axes:
+            One ``(xs, ys)`` pair of ascending axis values per row.
+        observations:
+            Observation vectors, shape ``(k, n_groups)``.
+        active:
+            Per-row active group sets, as for
+            :meth:`log_likelihood_segmented`.
+
+        Returns
+        -------
+        Flat array of shape ``(sum(len(xs) * len(ys)),)``.
+        """
+        obs = np.atleast_2d(np.asarray(observations, dtype=np.float64))
+        if len(axes) != obs.shape[0]:
+            raise ValueError("need one pair of grid axes per observation row")
+        xs = [np.asarray(x, dtype=np.float64) for x, _ in axes]
+        ys = [np.asarray(y, dtype=np.float64) for _, y in axes]
+        nx = np.array([x.size for x in xs], dtype=np.int64)
+        ny = np.array([y.size for y in ys], dtype=np.int64)
+        counts = nx * ny
+        xs_all = np.concatenate([np.zeros(0), *xs])
+        ys_all = np.concatenate([np.zeros(0), *ys])
+        table = self._squared_distance_table
+        if table is None or not (_exact_integers(xs_all) and _exact_integers(ys_all)):
+            grids = [np.meshgrid(x, y) for x, y in zip(xs, ys)]
+            locations = np.vstack(
+                [np.zeros((0, 2))]
+                + [np.column_stack([gx.ravel(), gy.ravel()]) for gx, gy in grids]
+            )
+            return self.log_likelihood_segmented(locations, obs, counts, active=active)
+
+        # Squared offsets of every axis value to every deployment point: the
+        # squared distances of row r's grid are one broadcast add of its
+        # y-axis block over its x-axis block.
+        points = self.deployment_points.astype(np.int64)
+        dx2 = xs_all.astype(np.int64)[:, None] - points[:, 0]
+        dx2 *= dx2
+        dy2 = ys_all.astype(np.int64)[:, None] - points[:, 1]
+        dy2 *= dy2
+        x_at = np.concatenate([[0], np.cumsum(nx)])
+        y_at = np.concatenate([[0], np.cumsum(ny)])
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+
+        def squared(row: int, groups, out=None) -> np.ndarray:
+            return np.add(
+                dy2[y_at[row] : y_at[row + 1], None, groups],
+                dx2[None, x_at[row] : x_at[row + 1], groups],
+                out=out,
+            )
+
+        m = float(self._group_size)
+        n = self.n_groups
+        rows_active = self._rows_active(obs, counts, active)
+        if rows_active is None:
+            # Dense: row by row, (m − k) · log(1 − p) is one gather and one
+            # product over a cache-sized block.
+            pair_squared = np.empty((offsets[-1], n), dtype=np.int64)
+            terms = np.empty((offsets[-1], n), dtype=np.float64)
+            for row in range(obs.shape[0]):
+                shape = (ny[row], nx[row], n)
+                block = pair_squared[offsets[row] : offsets[row + 1]].reshape(shape)
+                squared(row, slice(None), out=block)
+                row_terms = terms[offsets[row] : offsets[row + 1]]
+                np.take(table, block, mode="clip", out=row_terms.reshape(shape))
+                row_terms *= m - obs[row]
+            # Observed pairs, one observed (row, group) at a time: the
+            # group's column over every candidate of the row.
+            rows, groups = np.nonzero(obs > 0)
+            size = counts[rows]
+            start = np.repeat(offsets[rows] - (np.cumsum(size) - size), size)
+            flat = (start + np.arange(size.sum())) * n + np.repeat(groups, size)
+            terms.reshape(-1)[flat] += self._observed_terms(
+                np.repeat(obs[rows, groups], size), pair_squared.reshape(-1)[flat]
+            )
+            out = terms.sum(axis=1)
+        else:
+            pairs = self._active_pairs(obs, counts, rows_active, squared)
+            out = np.zeros(offsets[-1], dtype=np.float64)
+            if pairs is not None:
+                pair_squared, k, cand = pairs
+                terms = (m - k) * np.take(table, pair_squared, mode="clip")
+                observed = k > 0
+                terms[observed] += self._observed_terms(
+                    k[observed], pair_squared[observed]
+                )
+                out = self._backend.segment_sum(terms, cand, out.size)
+        return self._poison_invalid(out, obs, counts)
+
+    def _observed_terms(self, k: np.ndarray, squared: np.ndarray) -> np.ndarray:
+        """Binomial coefficient plus ``k · log p`` of observed pairs.
+
+        The observed-pair arithmetic of the numpy backend's segmented
+        kernels, with ``p`` from the chain on the correctly rounded
+        ``√s``.
+        """
+        p = self._gz.fast_lookup(np.sqrt(squared.astype(np.float64)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = self._log_coefficients(k, float(self._group_size)) + k * np.log(p)
+        return np.where(p <= 0, -np.inf, term)
+
+    @cached_property
+    def _squared_distance_table(self) -> Optional[np.ndarray]:
+        """``log(1 − g(√s))`` for every integer ``s`` in ``[0, S]``, or ``None``.
+
+        ``S`` is the smallest integer with ``√S ≥`` :attr:`support_radius`
+        (265,053 — 2.1 MB — at the paper's parameters).  Each entry runs
+        the chain of the dense kernel (``fast_lookup`` of the correctly
+        rounded ``√s``, then ``log(1 − p)``), so a gather returns the bits
+        the chain would.  Entries from ``S`` on are exact zeros: the build
+        checks them up to two knots past the support radius, beyond which
+        every lookup interpolates between knot values of at most
+        ``2**-55``.  Built on first use; ``None`` when the table cannot
+        stand in for the chain: a backend that is not numpy-exact, a
+        ``g(z)`` that reaches one, an infinite support radius, deployment
+        points that are not integers, or a table over the cache budget.
+        """
+        radius = self.support_radius
+        knots = self._gz.table.knots
+        if (
+            not self._backend.numpy_exact
+            or not np.isfinite(radius)
+            or np.any(self._gz.table.values >= 1.0)
+            or not _exact_integers(self.deployment_points)
+        ):
+            return None
+        size = int(np.ceil(radius * radius))
+        while size > 0 and np.sqrt(size - 1.0) >= radius:
+            size -= 1
+        while np.sqrt(float(size)) < radius:
+            size += 1
+        edge = knots[min(int(np.searchsorted(knots, radius)) + 2, knots.size - 1)]
+        last = max(size, int(np.ceil(edge * edge)))
+        if 8 * (last + 1) > _CACHE_BUDGET_BYTES:
+            return None
+        table = np.log(
+            1.0 - self._gz.fast_lookup(np.sqrt(np.arange(last + 1, dtype=np.float64)))
+        )
+        if np.any(table[size:] != 0.0):
+            return None
+        table = table[: size + 1].copy()
+        table.flags.writeable = False
+        return table
+
+    def _rows_active(
+        self, obs: np.ndarray, counts: np.ndarray, active: Sequence[np.ndarray]
+    ) -> Optional[list[np.ndarray]]:
+        """Per-row active sets unioned with the observed groups.
+
+        Returns ``None`` when they would cover at least the backend's
+        dense-fallback fraction of the ``(candidate, group)`` pairs — the
+        dense kernel wins there.  The unions come from one rows × groups
+        mask, so the decision costs no per-row set operation.
+        """
+        if len(active) != obs.shape[0]:
+            raise ValueError("need one active-group set per observation row")
+        groups = [np.asarray(a, dtype=np.int64) for a in active]
+        mask = obs != 0
+        if groups:
+            rows = np.repeat(np.arange(len(groups)), [g.size for g in groups])
+            mask[rows, np.concatenate(groups)] = True
+        n_pairs = int((mask.sum(axis=1) * counts).sum())
+        if n_pairs >= self._dense_fallback * int(counts.sum()) * self.n_groups:
+            return None
+        return [np.flatnonzero(row) for row in mask]
+
+    @staticmethod
+    def _active_pairs(
+        obs: np.ndarray,
+        counts: np.ndarray,
+        rows_active: Sequence[np.ndarray],
+        values: Callable[[int, np.ndarray], np.ndarray],
+    ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Flat ``(values, k, candidate)`` over every row's active pairs.
+
+        Pairs run candidate-major, each candidate's active groups in
+        ascending order; ``values(row, groups)`` gives the row's
+        ``(candidates, groups)`` block.  ``None`` when no pair is active.
+        """
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        parts = [
+            (
+                values(row, groups).ravel(),
+                np.tile(obs[row, groups], int(counts[row])),
+                np.repeat(np.arange(offsets[row], offsets[row + 1]), groups.size),
+            )
+            for row, groups in enumerate(rows_active)
+            if counts[row] and groups.size
+        ]
+        if not parts:
+            return None
+        return tuple(np.concatenate(part) for part in zip(*parts))
+
+    def _poison_invalid(
+        self, out: np.ndarray, obs: np.ndarray, counts: np.ndarray
+    ) -> np.ndarray:
+        """Force the segments of out-of-support observations to ``-inf``.
+
+        Exactly as the reference ``-inf`` masking does: every element of
+        such a row is ``-inf`` before the row sum there, so forcing the
+        summed value is the same number.
+        """
+        m = float(self._group_size)
         invalid = np.any((obs < 0) | (obs > m), axis=1)
         if np.any(invalid):
             out[np.repeat(invalid, counts)] = -np.inf

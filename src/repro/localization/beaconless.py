@@ -36,13 +36,23 @@ vectorised engine instead of a Python-level loop:
 * because the coarse lattice is anchored at the region origin, every row
   draws its coarse candidates from the *same* global lattice.  One
   ``(k, candidates, n_groups)`` kernel —
-  :meth:`DeploymentKnowledge.log_likelihood_batch` — therefore evaluates the
-  lattice once and scores all ``k`` rows against it as two matrix products;
+  :meth:`DeploymentKnowledge.log_likelihood_lattice` — therefore scores all
+  ``k`` rows against it as two matrix products, from lattice terms
+  (``p``, ``log p``, ``log(1 − p)``) the knowledge builds once per lattice;
   each row then picks its best candidate inside its own search window;
 * the refinement levels run in lock-step (the step schedule is
-  row-independent): per-row sub-grids are concatenated and scored by one
-  flat :meth:`DeploymentKnowledge.log_likelihood_segmented` call, followed
-  by per-row best-candidate gathers;
+  row-independent): per-row sub-grids are scored by one flat kernel call,
+  followed by per-row best-candidate gathers.  With ``prune=True`` (the
+  default) that call is :meth:`DeploymentKnowledge.log_likelihood_grids`:
+  each row scores only its active groups (or every group, when the active
+  sets cover most pairs), and when the candidates and deployment points are
+  integers — always, under the paper's defaults — the unobserved
+  ``(m − k) · log(1 − p)`` terms are gathers from a per-knowledge table of
+  ``log(1 − g(√s))`` over integer squared distances ``s``, whose zero tail
+  *is* the support-radius pruning.  ``prune=False`` runs
+  :meth:`DeploymentKnowledge.log_likelihood_segmented` over every group
+  with the full distance → ``g(z)`` → ``log(1 − p)`` chain per pair: the
+  reference the pruned engine is measured and checked against;
 * duplicate observation rows are localized once (all-zero rows — whose
   likelihood surface is symmetric and therefore full of exact ties — are
   routed through the per-row reference search so tie-breaking cannot be
@@ -201,7 +211,12 @@ class BeaconlessLocalizer(LocalizationScheme):
             radius of the row's search window, plus observed groups); the
             skipped likelihood terms are exact zeros, so the estimates are
             unchanged.  Dense deployments whose active sets cover most
-            groups fall back to the dense kernels automatically.
+            groups fall back to the dense kernel automatically.  Either
+            way, integer candidates against integer deployment points read
+            their unobserved terms from the knowledge's squared-distance
+            table instead of running the ``g(z)`` chain per pair, with
+            bit-identical candidate likelihoods.  ``False`` keeps the full
+            chain over every group: the reference path.
 
         Returns
         -------
@@ -263,19 +278,27 @@ class BeaconlessLocalizer(LocalizationScheme):
         gx, gy = np.meshgrid(xs, ys)
         return np.column_stack([gx.ravel(), gy.ravel()])
 
-    def _candidate_grid(
+    def _candidate_axes(
         self, center: np.ndarray, half_width: float, step: float, region: Region
-    ) -> np.ndarray:
-        """Axis-aligned candidate grid clipped to the deployment region."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Axes of the candidate grid around *center*, clipped to the region."""
         xs = np.arange(center[0] - half_width, center[0] + half_width + step / 2, step)
         ys = np.arange(center[1] - half_width, center[1] + half_width + step / 2, step)
         xs = np.unique(np.clip(xs, region.x_min, region.x_max))
         ys = np.unique(np.clip(ys, region.y_min, region.y_max))
-        return self._grid_from_axes(xs, ys)
+        return xs, ys
+
+    def _candidate_grid(
+        self, center: np.ndarray, half_width: float, step: float, region: Region
+    ) -> np.ndarray:
+        """Axis-aligned candidate grid clipped to the deployment region."""
+        return self._grid_from_axes(
+            *self._candidate_axes(center, half_width, step, region)
+        )
 
     def _candidate_grids_batch(
         self, centers: np.ndarray, half_width: float, step: float, region: Region
-    ) -> list[np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
         """Per-row refinement grids, built without a per-row numpy cascade.
 
         Interior rows all share the same grid shape and offset arithmetic
@@ -283,8 +306,11 @@ class BeaconlessLocalizer(LocalizationScheme):
         broadcasting reproduces exactly), so their grids come from one
         vectorised construction.  Rows whose window crosses the region
         boundary — where clipping merges candidates — fall back to
-        :meth:`_candidate_grid`; both constructions enumerate candidates in
+        :meth:`_candidate_axes`; both constructions enumerate candidates in
         the same y-major order.
+
+        Returns ``(points, counts, axes)``: the concatenated candidates, the
+        number of candidates per row, and each row's ``(xs, ys)`` axes.
         """
         k = centers.shape[0]
         offsets = np.arange(
@@ -302,12 +328,18 @@ class BeaconlessLocalizer(LocalizationScheme):
         grid_x = np.broadcast_to(xs[:, None, :], (k, n, n))
         grid_y = np.broadcast_to(ys[:, :, None], (k, n, n))
         stacked = np.stack([grid_x, grid_y], axis=-1).reshape(k, n * n, 2)
-        return [
-            stacked[row]
+        axes = [
+            (xs[row], ys[row])
             if clean[row]
-            else self._candidate_grid(centers[row], half_width, step, region)
+            else self._candidate_axes(centers[row], half_width, step, region)
             for row in range(k)
         ]
+        grids = [
+            stacked[row] if clean[row] else self._grid_from_axes(*axes[row])
+            for row in range(k)
+        ]
+        counts = np.array([grid.shape[0] for grid in grids], dtype=np.int64)
+        return np.vstack(grids), counts, axes
 
     # -- per-row reference search --------------------------------------------
 
@@ -409,7 +441,9 @@ class BeaconlessLocalizer(LocalizationScheme):
         # inside no row's window are dropped up front: every kernel entry is
         # an independent dot product, so the surviving columns are bitwise
         # unchanged and the per-row argmax (which masks out-of-window
-        # candidates to -inf anyway) picks the same winner.
+        # candidates to -inf anyway) picks the same winner.  The lattice's
+        # likelihood terms are built once per knowledge and sliced by the
+        # covered mask (``log_likelihood_lattice``).
         xs_full, ys_full = self._coarse_lattice(region)
         lattice = self._grid_from_axes(xs_full, ys_full)
         margin = self.search_margin
@@ -420,18 +454,17 @@ class BeaconlessLocalizer(LocalizationScheme):
             & (lattice[None, :, 1] <= centers[:, 1, None] + margin)
         )
         covered = in_window.any(axis=0)
-        if not covered.all():
-            lattice = lattice[covered]
-            in_window = in_window[:, covered]
+        candidates = lattice[covered]
+        in_window = in_window[:, covered]
         if self.coarse_tiers == 2:
             coarse_pos, values = self._coarse_hierarchical(
-                knowledge, lattice, in_window, observations, prune=prune
+                knowledge, candidates, in_window, observations, prune=prune
             )
         else:
-            lls = knowledge.log_likelihood_batch(lattice, observations)
+            lls = knowledge.log_likelihood_lattice(lattice, covered, observations)
             lls = np.where(in_window, lls, -np.inf)
             idx, values = backend.rowwise_argmax(lls)
-            coarse_pos = lattice[idx]
+            coarse_pos = candidates[idx]
 
         best = centers.copy()
         best_ll = np.full(k, -np.inf)
@@ -447,9 +480,9 @@ class BeaconlessLocalizer(LocalizationScheme):
         while step > self.resolution:
             half_width = step
             step = max(step / self.refine_factor, self.resolution)
-            grids = self._candidate_grids_batch(best, half_width, step, region)
-            counts = np.array([grid.shape[0] for grid in grids], dtype=np.int64)
-            active = None
+            stacked, counts, axes = self._candidate_grids_batch(
+                best, half_width, step, region
+            )
             if prune:
                 # Candidates lie within the (clipped) square of half-width
                 # ``half_width`` around each row's current best, so a ball of
@@ -457,10 +490,9 @@ class BeaconlessLocalizer(LocalizationScheme):
                 # every group any candidate of the row could interact with.
                 reach = knowledge.support_radius + half_width * np.sqrt(2.0)
                 active = knowledge.active_groups(best, radius=reach)
-            stacked = np.vstack(grids)
-            flat = knowledge.log_likelihood_segmented(
-                stacked, observations, counts, active=active
-            )
+                flat = knowledge.log_likelihood_grids(axes, observations, active)
+            else:
+                flat = knowledge.log_likelihood_segmented(stacked, observations, counts)
             seg_idx, seg_best = backend.segment_argmax(flat, counts)
             update = seg_best > best_ll
             best_ll[update] = seg_best[update]

@@ -11,12 +11,15 @@ honest ``(observation, actual location)`` pairs, so the generated load
 exercises the same score distribution as the offline evaluation — no
 synthetic observations that the ``g(z)`` table has never seen.
 
-The generator is **open-loop**: claim *i* is released at
-``start + i / rate`` regardless of how fast earlier claims completed, so
-queueing delay shows up in the latency percentiles instead of being
-hidden by a closed feedback loop (the standard way load generators
-accidentally flatter p99).  ``rate=None`` releases everything immediately
-— the saturation mode the throughput benchmark uses.
+The generator is **open-loop**: claim *i* is due at ``start + i / rate``
+regardless of how fast earlier claims completed, so queueing delay shows
+up in the latency percentiles instead of being hidden by a closed feedback
+loop (the standard way load generators accidentally flatter p99).
+``rate=None`` makes every claim due at ``start`` — the saturation mode the
+throughput benchmark uses.  A claim's latency runs from its due time, not
+from the moment it was actually submitted, so a stall of the generator or
+of the event loop is charged to every claim it delays (no coordinated
+omission); how late each claim was submitted is reported separately.
 """
 
 from __future__ import annotations
@@ -40,15 +43,17 @@ __all__ = [
     "run_tcp_load",
 ]
 
-_Submit = Callable[[LocationClaim], Awaitable[Verdict]]
+#: ``submit(index, claim)``: *index* is the claim's position in the stream.
+_Submit = Callable[[int, LocationClaim], Awaitable[Verdict]]
 
 
 @dataclass(frozen=True)
 class LoadReport:
     """What one load-generation run measured.
 
-    Latencies are measured client-side (submission to verdict, in
-    milliseconds), so they include queueing and — over TCP — the wire.
+    Latencies are measured client-side (from each claim's due time to its
+    verdict, in milliseconds), so they include queueing, any stall of the
+    generator and — over TCP — the wire.
     """
 
     total: int
@@ -57,10 +62,13 @@ class LoadReport:
     errors: int
     flagged: int
     duration_s: float
+    #: Latency of every completed claim, in submission order.
     latencies_ms: np.ndarray
     #: Verdict score per claim in submission order (NaN where the claim was
     #: rejected or errored) — lets callers compare runs bit-for-bit.
     scores: np.ndarray
+    #: How late each claim was submitted after its due time, milliseconds.
+    late_ms: np.ndarray
 
     @property
     def claims_per_sec(self) -> float:
@@ -83,6 +91,13 @@ class LoadReport:
         """99th-percentile end-to-end latency."""
         return self.percentile(99.0)
 
+    @property
+    def late_p99_ms(self) -> float:
+        """99th percentile of how late claims were submitted."""
+        if self.late_ms.size == 0:
+            return float("nan")
+        return float(np.percentile(self.late_ms, 99.0))
+
     def as_dict(self) -> Dict[str, float]:
         """JSON-friendly summary (used by the CLI and the benchmark)."""
         return {
@@ -95,6 +110,7 @@ class LoadReport:
             "claims_per_sec": round(self.claims_per_sec, 3),
             "p50_ms": round(self.p50_ms, 4),
             "p99_ms": round(self.p99_ms, 4),
+            "late_p99_ms": round(self.late_p99_ms, 4),
         }
 
     def summary(self) -> str:
@@ -143,18 +159,24 @@ async def _drive(
     *,
     rate: Optional[float] = None,
 ) -> LoadReport:
-    """Release claims open-loop at *rate*/sec (or all at once) and collect."""
+    """Submit claims open-loop at *rate*/sec (or all at once) and collect.
+
+    Claim *i* is due at ``start + i / rate`` (``start`` when *rate* is
+    ``None``); its latency is timed from that due time.
+    """
     loop = asyncio.get_running_loop()
-    outcomes: List[Optional[Verdict]] = [None] * len(claims)
+    n = len(claims)
+    outcomes: List[Optional[Verdict]] = [None] * n
+    latency = np.full(n, np.nan)
+    late = np.zeros(n)
     rejected = 0
     errors = 0
-    latencies: List[float] = []
 
-    async def one(index: int, claim: LocationClaim) -> None:
+    async def one(index: int, claim: LocationClaim, due: float) -> None:
         nonlocal rejected, errors
-        begin = time.perf_counter()
+        late[index] = (time.perf_counter() - due) * 1000.0
         try:
-            verdict = await submit(claim)
+            verdict = await submit(index, claim)
         except (ServiceOverloaded, RemoteClaimError) as error:
             overloaded = getattr(error, "overloaded", True)
             if isinstance(error, ServiceOverloaded) or overloaded:
@@ -166,21 +188,19 @@ async def _drive(
             errors += 1
             return
         outcomes[index] = verdict
-        latencies.append((time.perf_counter() - begin) * 1000.0)
+        latency[index] = (time.perf_counter() - due) * 1000.0
 
-    start = loop.time()
-    wall_start = time.perf_counter()
+    start = time.perf_counter()
     tasks = []
     for index, claim in enumerate(claims):
-        if rate is not None:
-            target = start + index / rate
-            delay = target - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-        tasks.append(loop.create_task(one(index, claim)))
+        due = start if rate is None else start + index / rate
+        delay = due - time.perf_counter()
+        if delay > 0:
+            await asyncio.sleep(delay)
+        tasks.append(loop.create_task(one(index, claim, due)))
     if tasks:
         await asyncio.gather(*tasks)
-    duration = time.perf_counter() - wall_start
+    duration = time.perf_counter() - start
 
     verdicts = [verdict for verdict in outcomes if verdict is not None]
     return LoadReport(
@@ -190,7 +210,7 @@ async def _drive(
         errors=errors,
         flagged=sum(1 for verdict in verdicts if verdict.anomalous),
         duration_s=duration,
-        latencies_ms=np.asarray(latencies, dtype=np.float64),
+        latencies_ms=latency[~np.isnan(latency)],
         scores=np.array(
             [
                 np.nan if verdict is None else verdict.score
@@ -198,6 +218,7 @@ async def _drive(
             ],
             dtype=np.float64,
         ),
+        late_ms=late,
     )
 
 
@@ -208,7 +229,7 @@ async def run_load(
     rate: Optional[float] = None,
 ) -> LoadReport:
     """Drive an in-process runtime with *claims* and measure the outcome."""
-    return await _drive(runtime.submit, claims, rate=rate)
+    return await _drive(lambda _, claim: runtime.submit(claim), claims, rate=rate)
 
 
 async def run_tcp_load(
@@ -221,7 +242,8 @@ async def run_tcp_load(
 ) -> LoadReport:
     """Drive a remote ``lad-repro serve`` instance over TCP.
 
-    *connections* clients share the claim stream round-robin, so the
+    *connections* clients share the claim stream round-robin by stream
+    position (claim *i* goes to connection ``i % connections``), so the
     generator itself does not serialise on one socket when probing a
     server's saturation throughput.
     """
@@ -232,10 +254,8 @@ async def run_tcp_load(
         await client.__aenter__()
     try:
 
-        async def submit(claim: LocationClaim) -> Verdict:
-            # claim_id is "load-<i>": route by stream order for round-robin.
-            index = hash(claim.claim_id) % connections
-            return await clients[index].submit(claim)
+        async def submit(index: int, claim: LocationClaim) -> Verdict:
+            return await clients[index % connections].submit(claim)
 
         return await _drive(submit, claims, rate=rate)
     finally:

@@ -15,12 +15,18 @@ requests in one vectorised pass:
 3. scores become :class:`~repro.core.verdict.Verdict` objects under the
    session-trained thresholds (:func:`~repro.core.verdict.verdicts_from_scores`).
 
-Every kernel in that pipeline is row-elementwise (and the batch engine is
-pinned batch == loop bit-for-bit), so a claim's verdict never depends on
-which other claims shared its micro-batch — the service is bit-identical
-to offline :class:`~repro.experiments.session.LadSession` scoring by
-construction, which the serving test-suite asserts across all registered
-localizers.
+Scoring is row-elementwise, so the verdict of a claim that carries its
+location never depends on which other claims shared its micro-batch — the
+service is bit-identical to offline
+:class:`~repro.experiments.session.LadSession` scoring by construction,
+which the serving test-suite asserts across all registered localizers.
+Claims without a location are localized together: their coarse lattice
+scores come from one matrix product over the batch, whose rounding can
+depend on the batch's composition (differences of order ``1e-11`` have
+been measured).  Such a claim's verdict is therefore the score at its
+batch's :meth:`~repro.localization.beaconless.BeaconlessLocalizer.localize_observations`
+estimate; it matches the verdict the claim gets alone unless two
+candidate locations score within that rounding.
 
 Construction is either *live* (:meth:`DetectionService.from_session`
 trains thresholds through the session, reusing its artifact store when
@@ -291,8 +297,15 @@ class DetectionService:
         :meth:`localize_observations` call, and each metric scores its rows
         with one :meth:`AnomalyMetric.score` call (one
         :meth:`expected_observation` plus one vectorised ``compute``).
-        Every kernel is row-elementwise, so verdicts are bit-identical
-        whether a claim is verified alone or inside any batch.
+        Scoring is row-elementwise, so the verdict of a claim carrying its
+        location is bit-identical whether it is verified alone or inside
+        any batch.  A location-less claim's verdict is
+        :meth:`AnomalyMetric.score` at the estimate
+        :meth:`localize_observations` gives on this batch; the coarse
+        localization level scores the batch in one matrix product whose
+        rounding can depend on the batch, so the estimate — and with it
+        the verdict — equals the claim's solo one unless two candidate
+        locations tie within that rounding.
 
         Claims carrying non-finite values (``NaN``/``inf`` in the
         observation or the claimed location) get a per-claim *error*

@@ -12,6 +12,7 @@ The load-bearing guarantees:
 import numpy as np
 import pytest
 
+from repro.core.metrics import resolve_metric
 from repro.core.thresholds import derive_threshold
 from repro.core.training import benign_scores, collect_training_data
 from repro.experiments.session import LadSession
@@ -145,6 +146,93 @@ class TestBatchInvariance:
 
     def test_empty_batch(self, tiny_service):
         assert tiny_service.verify_batch([]) == []
+
+
+class TestBatchContract:
+    """What a claim's batch-mates may change, for every metric.
+
+    A claim carrying its location is scored row by row, so its verdict is
+    the same alone and inside any mixed batch.  Location-less claims are
+    localized together (the coarse level is one matrix product over the
+    batch), so their verdict is pinned to the estimate
+    ``localize_observations`` gives on their own batch.
+    """
+
+    METRICS = ("diff", "add_all", "probability")
+
+    @pytest.fixture(scope="class")
+    def service(self, tiny_session):
+        return DetectionService(
+            tiny_session.knowledge,
+            thresholds={name: 25.0 for name in self.METRICS},
+            localizer=tiny_session.localizer,
+        )
+
+    @pytest.fixture(scope="class")
+    def mixed_batch(self, tiny_session):
+        """Located and location-less claims of every metric, interleaved."""
+        training = tiny_session.training_data
+        return [
+            LocationClaim(
+                observation=training.observations[i],
+                claimed_location=(
+                    None if i % 4 == 3 else training.estimated_locations[i]
+                ),
+                claim_id=f"m-{i}",
+                metric=self.METRICS[i % 3],
+            )
+            for i in range(24)
+        ]
+
+    @staticmethod
+    def _batches(claims):
+        return [claims, claims[::-1], claims[5:17], claims[::3]]
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_located_verdict_same_alone_and_in_mixed_batches(
+        self, service, mixed_batch, metric
+    ):
+        located = [
+            claim
+            for claim in mixed_batch
+            if claim.claimed_location is not None and claim.metric == metric
+        ]
+        alone = {claim.claim_id: service.verify_batch([claim])[0] for claim in located}
+        checked = 0
+        for batch in self._batches(mixed_batch):
+            for verdict in service.verify_batch(batch):
+                if verdict.claim_id not in alone:
+                    continue
+                solo = alone[verdict.claim_id]
+                assert verdict.metric == solo.metric == metric
+                assert verdict.score == solo.score
+                assert verdict.anomalous == solo.anomalous
+                checked += 1
+        assert checked >= 2 * len(located)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_locationless_verdict_is_score_at_its_batch_estimate(
+        self, service, mixed_batch, metric
+    ):
+        knowledge = service.knowledge
+        checked = 0
+        for batch in self._batches(mixed_batch):
+            verdicts = service.verify_batch(batch)
+            pending = [
+                row for row, claim in enumerate(batch) if claim.claimed_location is None
+            ]
+            observations = np.stack([batch[row].observation for row in pending])
+            estimates = service.localizer.localize_observations(knowledge, observations)
+            mine = [
+                pos for pos, row in enumerate(pending) if batch[row].metric == metric
+            ]
+            expected = resolve_metric(metric).score(
+                knowledge, estimates[mine], observations[mine]
+            )
+            got = np.array([verdicts[pending[pos]].score for pos in mine])
+            assert np.array_equal(got, expected)
+            checked += len(mine)
+        assert checked > 0
 
 
 class TestDetectionDecisions:
