@@ -25,7 +25,7 @@ offline sweep at the same false-positive budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -33,7 +33,7 @@ import numpy as np
 __all__ = ["Verdict", "verdicts_from_scores"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """One location-verification decision.
 
@@ -79,7 +79,19 @@ class Verdict:
 
     def with_latency(self, latency_ms: float) -> "Verdict":
         """A copy of the verdict with the observed service latency set."""
-        return replace(self, latency_ms=float(latency_ms))
+        # Positional, in field order: the runtime copies every served
+        # verdict, and this skips ``dataclasses.replace``'s per-field
+        # introspection.
+        return Verdict(
+            self.score,
+            self.threshold,
+            self.anomalous,
+            self.metric,
+            self.false_positive_rate,
+            self.claim_id,
+            float(latency_ms),
+            self.error,
+        )
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-serialisable rendering (used by the JSONL transport)."""
@@ -124,16 +136,10 @@ def verdicts_from_scores(
     if claim_ids is None:
         claim_ids = [None] * scores.shape[0]
     # ``tolist`` gives the same floats and bools as per-element casts, without
-    # a NumPy scalar per row (the serving path builds every verdict here).
+    # a NumPy scalar per row (the serving path builds every verdict here, so
+    # the fields go in positionally, in declaration order).
     return [
-        Verdict(
-            score=score,
-            threshold=threshold,
-            anomalous=flag,
-            metric=metric,
-            false_positive_rate=false_positive_rate,
-            claim_id=claim_id,
-        )
+        Verdict(score, threshold, flag, metric, false_positive_rate, claim_id)
         for score, flag, claim_id in zip(
             scores.tolist(), (scores > threshold).tolist(), claim_ids
         )

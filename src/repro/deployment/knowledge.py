@@ -25,6 +25,7 @@ from repro.backend import ArrayBackend, resolve_backend
 from repro.deployment.gz import GzTable
 from repro.deployment.models import DeploymentModel
 from repro.types import Region, as_points
+from repro.utils.stats import binomial_log_coefficient, binomial_log_pmf
 from repro.utils.validation import check_int, check_positive
 
 __all__ = ["DeploymentKnowledge"]
@@ -360,8 +361,6 @@ class DeploymentKnowledge:
         -------
         Array of shape ``(k,)`` with the total log-likelihood per location.
         """
-        from repro.utils.stats import binomial_log_pmf
-
         obs = np.asarray(observation, dtype=np.float64)
         if obs.shape != (self.n_groups,):
             raise ValueError(
@@ -370,27 +369,6 @@ class DeploymentKnowledge:
         probs = self.membership_probabilities(locations)
         log_pmf = binomial_log_pmf(obs[None, :], self._group_size, probs)
         return log_pmf.sum(axis=1)
-
-    @staticmethod
-    def _log_coefficients(k_values: np.ndarray, m: float) -> np.ndarray:
-        """Binomial log-coefficients, via a small value table when possible.
-
-        Honest observations are integer counts drawn from a narrow range, so
-        the ``gammaln`` evaluations collapse to one pass over
-        ``0 … max(k)`` followed by a gather.  Real-valued observations (the
-        tainted ones can be fractional) fall back to the element-wise form.
-        """
-        from repro.utils.stats import binomial_log_coefficient
-
-        if (
-            k_values.size > 1024
-            and float(k_values.min(initial=0.0)) >= 0.0
-            and float(k_values.max(initial=0.0)) <= 65536.0
-            and np.all(k_values == np.floor(k_values))
-        ):
-            values = np.arange(int(k_values.max()) + 1, dtype=np.float64)
-            return binomial_log_coefficient(values, m)[k_values.astype(np.int64)]
-        return binomial_log_coefficient(k_values, m)
 
     def _membership_fast(self, locations, groups=None) -> np.ndarray:
         """``g_i(θ)`` via the table's uniform-grid fast lookup.
@@ -499,8 +477,6 @@ class DeploymentKnowledge:
         self, obs: np.ndarray, probs: np.ndarray, log_p: np.ndarray, log_q: np.ndarray
     ) -> np.ndarray:
         """The ``(k, c)`` matmul reduction of :meth:`log_likelihood_batch`."""
-        from repro.utils.stats import binomial_log_coefficient
-
         m = float(self._group_size)
         coeff = binomial_log_coefficient(obs, m)
         coeff = np.where((obs < 0) | (obs > m), -np.inf, coeff)
@@ -600,7 +576,7 @@ class DeploymentKnowledge:
                 self._membership_fast(locs),
                 m,
                 reaches_one=reaches_one,
-                log_coefficients=self._log_coefficients,
+                log_coefficients=binomial_log_coefficient,
             )
         else:
             # Every scored pair reuses the exact distance (``cdist``
@@ -625,7 +601,7 @@ class DeploymentKnowledge:
                     cand,
                     out.size,
                     reaches_one=reaches_one,
-                    log_coefficients=self._log_coefficients,
+                    log_coefficients=binomial_log_coefficient,
                 )
         return self._poison_invalid(out, obs, counts)
 
@@ -757,7 +733,7 @@ class DeploymentKnowledge:
         """
         p = self._gz.fast_lookup(np.sqrt(squared.astype(np.float64)))
         with np.errstate(divide="ignore", invalid="ignore"):
-            term = self._log_coefficients(k, float(self._group_size)) + k * np.log(p)
+            term = binomial_log_coefficient(k, float(self._group_size)) + k * np.log(p)
         return np.where(p <= 0, -np.inf, term)
 
     @cached_property

@@ -57,7 +57,7 @@ class LocationClaim:
 
     def __post_init__(self) -> None:
         set_ = object.__setattr__
-        observation = np.asarray(self.observation, dtype=np.float64)
+        observation = _numeric(self.observation, "claim observation")
         if observation.ndim != 1 or observation.size == 0:
             raise ClaimError(
                 f"claim observation must be a non-empty 1-D vector, got "
@@ -67,7 +67,7 @@ class LocationClaim:
             raise ClaimError("claim observation contains non-finite values")
         set_(self, "observation", observation)
         if self.claimed_location is not None:
-            location = np.asarray(self.claimed_location, dtype=np.float64)
+            location = _numeric(self.claimed_location, "claimed_location")
             if location.shape != (2,):
                 raise ClaimError(
                     f"claimed_location must be a 2-vector, got shape "
@@ -85,6 +85,14 @@ class LocationClaim:
     def needs_localization(self) -> bool:
         """Whether the service must localize before it can verify."""
         return self.claimed_location is None
+
+
+def _numeric(value, what: str) -> np.ndarray:
+    """*value* as a float64 array; text, ragged nesting or overflow is a ClaimError."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError) as error:
+        raise ClaimError(f"{what} is not a numeric array: {error}") from None
 
 
 def claim_from_dict(payload: Mapping) -> LocationClaim:

@@ -1,19 +1,26 @@
-"""The streaming detection service core — vectorised claim verification.
+"""The streaming detection service core — columnar claim verification.
 
 :class:`DetectionService` is the online form of the LAD detector: it holds
 a trained session's state (deployment knowledge with its ``g(z)`` table,
 the localization scheme, one trained threshold per metric, the array
-backend) and verifies batches of :class:`~repro.serving.claims.LocationClaim`
-requests in one vectorised pass:
+backend) and verifies micro-batches of
+:class:`~repro.serving.claims.LocationClaim` requests as arrays:
 
-1. claims without a claimed location are localized first — all of them in
-   one :meth:`BeaconlessLocalizer.localize_observations` call;
-2. the claims are grouped by metric, and each group is scored with one
-   :meth:`AnomalyMetric.score` call — the expected observations ``µ`` at
-   the group's locations, then the same vectorised ``compute`` kernel the
-   offline evaluation uses;
-3. scores become :class:`~repro.core.verdict.Verdict` objects under the
-   session-trained thresholds (:func:`~repro.core.verdict.verdicts_from_scores`).
+1. the batch is stacked once — observations and claimed locations become
+   two matrices — and the finite checks run as row reductions over them;
+   only the rows that fail get an error verdict;
+2. claims without a claimed location are localized together, in one
+   :meth:`BeaconlessLocalizer.localize_observations` call;
+3. the rows are grouped by metric in one pass, and each group is scored
+   with one :meth:`AnomalyMetric.score` call — the expected observations
+   ``µ`` at the group's locations, then the same vectorised ``compute``
+   kernel the offline evaluation uses — and turned into verdicts under the
+   session-trained threshold by one
+   :func:`~repro.core.verdict.verdicts_from_scores` call.
+
+A claim's metric resolves through a spelling → canonical-name dict built
+at construction from the registry names and aliases of the thresholded
+metrics, so per-claim validation costs a dict lookup.
 
 Scoring is row-elementwise, so the verdict of a claim that carries its
 location never depends on which other claims shared its micro-batch — the
@@ -43,7 +50,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.metrics import AnomalyMetric, resolve_metric
+from repro.core.metrics import METRICS, AnomalyMetric, resolve_metric
 from repro.core.thresholds import derive_threshold
 from repro.core.verdict import Verdict, verdicts_from_scores
 from repro.deployment.knowledge import DeploymentKnowledge
@@ -60,6 +67,9 @@ if TYPE_CHECKING:  # pragma: no cover - imported for type checkers only
 __all__ = ["DetectionService"]
 
 _LOGGER = get_logger("serving.service")
+
+#: Stand-in location of a claim without one, until it is localized.
+_NOWHERE = np.zeros(2)
 
 
 class DetectionService:
@@ -115,6 +125,20 @@ class DetectionService:
                 f"threshold (have: {sorted(self._thresholds)})"
             )
         self._localizer = localizer
+        self._can_localize = isinstance(localizer, BeaconlessLocalizer)
+        self._n_groups = int(knowledge.n_groups)
+        # The metric each micro-batch group of that name scores through.
+        self._scorers = {name: resolve_metric(name) for name in self._thresholds}
+        # Every registered spelling of a thresholded metric (canonical
+        # names and aliases) -> its canonical name.  Only read after this:
+        # other spellings take the registry path uncached, so a stream of
+        # distinct metric strings cannot grow it.
+        classes = {type(metric): name for name, metric in self._scorers.items()}
+        self._spellings = {name: name for name in self._thresholds}
+        for spelling in (*METRICS.available(), *METRICS.aliases()):
+            name = classes.get(METRICS.get(spelling))
+            if name is not None:
+                self._spellings[spelling] = name
 
     # -- constructors ------------------------------------------------------
 
@@ -241,7 +265,7 @@ class DetectionService:
     @property
     def n_groups(self) -> int:
         """Length every claim observation must have."""
-        return int(self._knowledge.n_groups)
+        return self._n_groups
 
     def threshold(self, metric: Union[str, AnomalyMetric]) -> float:
         """The trained threshold of one metric."""
@@ -261,21 +285,27 @@ class DetectionService:
         Checked at admission (before a claim occupies queue space) so a
         bad claim is rejected immediately and can never poison the
         micro-batch it would have joined.  Returns the canonical name of
-        the metric the claim is scored with.
+        the metric the claim is scored with: a registered spelling is one
+        dict lookup, any other goes through the metric registry.
         """
-        if claim.observation.shape[0] != self.n_groups:
+        if claim.observation.shape[0] != self._n_groups:
             raise ClaimError(
                 f"claim observation has {claim.observation.shape[0]} "
-                f"group(s); this deployment has {self.n_groups}"
+                f"group(s); this deployment has {self._n_groups}"
             )
         metric = claim.metric or self._default_metric
-        name = resolve_metric(metric).name
-        if name not in self._thresholds:
-            raise ClaimError(
-                f"no trained threshold for metric {metric!r} "
-                f"(have: {sorted(self._thresholds)})"
-            )
-        if claim.needs_localization and not self._can_localize():
+        name = self._spellings.get(metric)
+        if name is None:
+            try:
+                name = resolve_metric(metric).name
+            except ValueError as error:
+                raise ClaimError(str(error)) from None
+            if name not in self._thresholds:
+                raise ClaimError(
+                    f"no trained threshold for metric {metric!r} "
+                    f"(have: {sorted(self._thresholds)})"
+                )
+        if claim.needs_localization and not self._can_localize:
             raise ClaimError(
                 "claim has no claimed_location and this service cannot "
                 "localize observations (needs the beaconless scheme; "
@@ -283,24 +313,24 @@ class DetectionService:
             )
         return name
 
-    def _can_localize(self) -> bool:
-        return isinstance(self._localizer, BeaconlessLocalizer)
-
     # -- verification ------------------------------------------------------
 
     def verify_batch(
         self, claims: Sequence[LocationClaim]
     ) -> List[Verdict]:
-        """Verify a micro-batch of claims in one vectorised pass.
+        """Verify a micro-batch of claims as arrays.
 
-        Location-less claims are localized together in one
-        :meth:`localize_observations` call, and each metric scores its rows
-        with one :meth:`AnomalyMetric.score` call (one
-        :meth:`expected_observation` plus one vectorised ``compute``).
-        Scoring is row-elementwise, so the verdict of a claim carrying its
-        location is bit-identical whether it is verified alone or inside
-        any batch.  A location-less claim's verdict is
-        :meth:`AnomalyMetric.score` at the estimate
+        The batch is stacked once into an observation matrix and a
+        location matrix, and the finite checks are row reductions over
+        them.  Location-less claims are localized together in one
+        :meth:`localize_observations` call.  The rows are grouped by metric
+        in one pass, and each group is scored with one
+        :meth:`AnomalyMetric.score` call (one :meth:`expected_observation`
+        plus one vectorised ``compute``) and turned into verdicts by one
+        :func:`verdicts_from_scores` call.  Scoring is row-elementwise, so
+        the verdict of a claim carrying its location is bit-identical
+        whether it is verified alone or inside any batch.  A location-less
+        claim's verdict is :meth:`AnomalyMetric.score` at the estimate
         :meth:`localize_observations` gives on this batch; the coarse
         localization level scores the batch in one matrix product whose
         rounding can depend on the batch, so the estimate — and with it
@@ -317,58 +347,47 @@ class DetectionService:
         if not claims:
             return []
         names = [self.validate(claim) for claim in claims]
+        claimed = [claim.claimed_location for claim in claims]
+        unlocated = [row for row, location in enumerate(claimed) if location is None]
+        for row in unlocated:
+            claimed[row] = _NOWHERE
+        observations = np.array([claim.observation for claim in claims])
+        locations = np.array(claimed)
+        bad_observation = ~np.isfinite(observations).all(axis=1)
+        bad = bad_observation | ~np.isfinite(locations).all(axis=1)
+        failed = set(np.flatnonzero(bad).tolist())
 
         verdicts: List[Optional[Verdict]] = [None] * len(claims)
-        ok_rows: List[int] = []
-        for row, claim in enumerate(claims):
-            message = None
-            if not np.isfinite(claim.observation).all():
-                message = "claim observation contains non-finite values"
-            elif claim.claimed_location is not None and not np.isfinite(
-                claim.claimed_location
-            ).all():
-                message = "claimed location contains non-finite coordinates"
-            if message is None:
-                ok_rows.append(row)
-                continue
+        for row in failed:
             verdicts[row] = Verdict(
                 score=float("nan"),
                 threshold=self._thresholds[names[row]],
                 anomalous=True,
                 metric=names[row],
                 false_positive_rate=self._false_positive_rate,
-                claim_id=claim.claim_id,
-                error=message,
+                claim_id=claims[row].claim_id,
+                error=(
+                    "claim observation contains non-finite values"
+                    if bad_observation[row]
+                    else "claimed location contains non-finite coordinates"
+                ),
             )
-        if not ok_rows:
-            return verdicts  # type: ignore[return-value]
 
-        observations = np.stack([claims[row].observation for row in ok_rows])
-        locations = np.empty((len(ok_rows), 2), dtype=np.float64)
-        localize_positions = [
-            pos
-            for pos, row in enumerate(ok_rows)
-            if claims[row].needs_localization
-        ]
-        for pos, row in enumerate(ok_rows):
-            if claims[row].claimed_location is not None:
-                locations[pos] = claims[row].claimed_location
-        if localize_positions:
-            estimates = self._localizer.localize_observations(
-                self._knowledge, observations[localize_positions]
+        pending = [row for row in unlocated if row not in failed]
+        if pending:
+            locations[pending] = self._localizer.localize_observations(
+                self._knowledge, observations[pending]
             )
-            locations[localize_positions] = estimates
 
         # Group rows by metric so each metric scores its rows in one call;
         # scoring is row-elementwise, so grouping cannot change any score.
-        by_metric: Dict[str, List[int]] = {}
-        for pos, row in enumerate(ok_rows):
-            by_metric.setdefault(names[row], []).append(pos)
-
-        for name, positions in by_metric.items():
-            rows = [ok_rows[pos] for pos in positions]
-            scores = resolve_metric(name).score(
-                self._knowledge, locations[positions], observations[positions]
+        groups: Dict[str, List[int]] = {}
+        for row, name in enumerate(names):
+            if row not in failed:
+                groups.setdefault(name, []).append(row)
+        for name, rows in groups.items():
+            scores = self._scorers[name].score(
+                self._knowledge, locations[rows], observations[rows]
             )
             grouped = verdicts_from_scores(
                 scores,
@@ -391,5 +410,5 @@ class DetectionService:
         return (
             f"DetectionService(metrics={self.metrics}, "
             f"fp={self._false_positive_rate:g}, "
-            f"n_groups={self.n_groups})"
+            f"n_groups={self._n_groups})"
         )

@@ -54,6 +54,10 @@ _LOGGER = get_logger("serving.transport")
 
 _WriteLine = Callable[[str], Awaitable[None]]
 
+#: Longest TCP request line, newline included: asyncio's default stream
+#: limit (a 1,024-group claim is under 10 KB).
+_LINE_LIMIT = 2**16
+
 
 def _encode_error(
     claim_id: Optional[str],
@@ -73,16 +77,19 @@ async def _handle_line(
     runtime: ServiceRuntime, line: str, write: _WriteLine
 ) -> None:
     """Decode one request line, submit it, write exactly one response."""
-    claim_id: Optional[str] = None
     try:
         payload = json.loads(line)
+    except (ValueError, RecursionError) as error:
+        # Besides syntax errors: integer literals past Python's digit
+        # limit (ValueError) and nesting past the recursion limit.
+        await write(_encode_error(None, f"invalid JSON: {error}"))
+        return
+    claim_id: Optional[str] = None
+    try:
         if isinstance(payload, dict):
             raw_id = payload.get("id")
             claim_id = None if raw_id is None else str(raw_id)
         claim = claim_from_dict(payload)
-    except json.JSONDecodeError as error:
-        await write(_encode_error(claim_id, f"invalid JSON: {error}"))
-        return
     except ClaimError as error:
         await write(_encode_error(claim_id, str(error)))
         return
@@ -100,6 +107,18 @@ async def _handle_line(
         await write(_encode_error(claim.claim_id, str(error)))
     else:
         await write(json.dumps(verdict.as_dict()))
+
+
+async def _discard_line(reader: asyncio.StreamReader) -> None:
+    """Drop the rest of an overlong line, through its newline (or EOF)."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as error:
+            await reader.readexactly(error.consumed)
+        except asyncio.IncompleteReadError:
+            return
 
 
 async def serve_stdio(
@@ -170,7 +189,19 @@ async def serve_tcp(
         tasks = set()
         try:
             while True:
-                raw = await reader.readline()
+                try:
+                    raw = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as error:
+                    raw = error.partial  # the last line, unterminated
+                except asyncio.LimitOverrunError:
+                    await write(
+                        _encode_error(
+                            None,
+                            f"request line exceeds the {_LINE_LIMIT}-byte limit",
+                        )
+                    )
+                    await _discard_line(reader)
+                    continue
                 if not raw:
                     break
                 line = raw.decode("utf-8", errors="replace").strip()
@@ -190,7 +221,9 @@ async def serve_tcp(
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
 
-    server = await asyncio.start_server(handle, host=host, port=port)
+    server = await asyncio.start_server(
+        handle, host=host, port=port, limit=_LINE_LIMIT
+    )
     bound_host, bound_port = server.sockets[0].getsockname()[:2]
     if announce is not None:
         announce(bound_host, bound_port)

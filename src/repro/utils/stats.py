@@ -8,6 +8,7 @@ vectorised NumPy kernels rather than per-sample Python code.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Tuple
 
 import numpy as np
@@ -120,6 +121,29 @@ def roc_points(
     return thresholds[order], fp[order], dr[order]
 
 
+#: Largest ``n`` whose log-coefficients are tabulated (512 KiB per table).
+_TABLE_LIMIT = 1 << 16
+
+
+def _log_coefficient_expression(k: np.ndarray, n: float) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (
+            special.gammaln(n + 1.0)
+            - special.gammaln(k + 1.0)
+            - special.gammaln(n - k + 1.0)
+        )
+
+
+@functools.lru_cache(maxsize=16)
+def _log_coefficient_table(n: float) -> Optional[np.ndarray]:
+    """The expression at ``k = 0 … n``, or ``None`` unless ``n`` is a small count."""
+    if not (n.is_integer() and 0.0 <= n <= _TABLE_LIMIT):
+        return None
+    table = _log_coefficient_expression(np.arange(int(n) + 1, dtype=np.float64), n)
+    table.flags.writeable = False
+    return table
+
+
 def binomial_log_coefficient(k: np.ndarray, n: float) -> np.ndarray:
     """Log of the (Gamma-generalised) binomial coefficient ``log C(n, k)``.
 
@@ -128,15 +152,28 @@ def binomial_log_coefficient(k: np.ndarray, n: float) -> np.ndarray:
     evaluate it once per observation instead of once per
     ``(observation, candidate)`` pair — ``gammaln`` is by far the most
     expensive term of the pmf.
+
+    When every ``k`` is an integer in ``[0, n]`` (neighbour counts always
+    are), the values are gathered from a table cached per ``n``: the same
+    ``gammaln`` expression evaluated once at ``0 … n``.  The expression is
+    element-wise, so each entry carries the bits the expression gives that
+    ``k``, and the gather returns them in the layout the expression's
+    output would have.  Any other call — fractional (tainted) counts,
+    values outside the support, NaN, or an ``n`` that is not a count up to
+    ``2**16`` — evaluates the expression.
     """
     k = np.asarray(k, dtype=np.float64)
     n = float(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (
-            special.gammaln(n + 1.0)
-            - special.gammaln(k + 1.0)
-            - special.gammaln(n - k + 1.0)
-        )
+    table = _log_coefficient_table(n)
+    if table is not None:
+        # NaN, infinities, fractions and values outside [0, n] do not
+        # survive flooring and clamping unchanged.  The index is a ufunc
+        # output like the expression's, so the gather keeps its layout
+        # (reductions downstream sum in memory order).
+        whole = np.minimum(np.maximum(np.floor(k), 0.0), n)
+        if (whole == k).all():
+            return table[whole.astype(np.intp)]
+    return _log_coefficient_expression(k, n)
 
 
 def binomial_log_pmf(k: np.ndarray, n: float, p: np.ndarray) -> np.ndarray:

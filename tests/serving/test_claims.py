@@ -44,6 +44,18 @@ class TestLocationClaim:
         with pytest.raises(ClaimError):
             LocationClaim(observation=[1.0], claimed_location=[np.inf, 0.0])
 
+    @pytest.mark.parametrize(
+        "value", ["abc", [[1, 2], [3]], {"x": 1}, [10**400], 10**400]
+    )
+    def test_non_numeric_values_are_claim_errors(self, value):
+        """Text, ragged nesting, objects and float overflow surface as
+        ClaimError (which transports answer per line), not as the
+        ValueError/TypeError/OverflowError of the float conversion."""
+        with pytest.raises(ClaimError, match="observation is not a numeric"):
+            LocationClaim(observation=value)
+        with pytest.raises(ClaimError, match="claimed_location is not a numeric"):
+            LocationClaim(observation=[1.0], claimed_location=value)
+
     def test_ids_and_metric_stringified(self):
         claim = LocationClaim(observation=[1.0], claim_id=7, metric="diff")
         assert claim.claim_id == "7"

@@ -11,6 +11,7 @@ service.
 """
 
 import asyncio
+import dataclasses
 import time
 
 import numpy as np
@@ -163,6 +164,24 @@ class TestMicroBatching:
         assert stats.completed == num_claims
         assert sum(service.batches) == num_claims
         assert {type(value) for value in vars(stats).values()} == {int}
+
+
+class TestVerdictCopy:
+    def test_with_latency_copies_every_other_field(self):
+        verdict = Verdict(
+            score=1.5,
+            threshold=2.0,
+            anomalous=False,
+            metric="diff",
+            false_positive_rate=0.05,
+            claim_id="c-1",
+            latency_ms=0.5,
+            error="boom",
+        )
+        copy = verdict.with_latency(3)
+        assert copy == dataclasses.replace(verdict, latency_ms=3.0)
+        assert type(copy.latency_ms) is float
+        assert verdict.latency_ms == 0.5
 
 
 class TestBackpressure:

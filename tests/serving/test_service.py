@@ -12,7 +12,7 @@ The load-bearing guarantees:
 import numpy as np
 import pytest
 
-from repro.core.metrics import resolve_metric
+from repro.core.metrics import METRICS, resolve_metric
 from repro.core.thresholds import derive_threshold
 from repro.core.training import benign_scores, collect_training_data
 from repro.experiments.session import LadSession
@@ -155,10 +155,22 @@ class TestBatchContract:
     the same alone and inside any mixed batch.  Location-less claims are
     localized together (the coarse level is one matrix product over the
     batch), so their verdict is pinned to the estimate
-    ``localize_observations`` gives on their own batch.
+    ``localize_observations`` gives on their own batch.  Rows poisoned with
+    non-finite values after construction get error verdicts and are left
+    out of localization and scoring.
     """
 
     METRICS = ("diff", "add_all", "probability")
+    #: Claim spellings: canonical names and registry aliases.
+    SPELLINGS = {
+        "diff": "diff",
+        "add_all": "add_all",
+        "probability": "probability",
+        "dm": "diff",
+        "prob": "probability",
+    }
+    OBSERVATION_ERROR = "claim observation contains non-finite values"
+    LOCATION_ERROR = "claimed location contains non-finite coordinates"
 
     @pytest.fixture(scope="class")
     def service(self, tiny_session):
@@ -170,23 +182,54 @@ class TestBatchContract:
 
     @pytest.fixture(scope="class")
     def mixed_batch(self, tiny_session):
-        """Located and location-less claims of every metric, interleaved."""
+        """Located and location-less claims of every metric spelling,
+        interleaved, with non-finite values written into some rows after
+        construction at shuffled positions."""
         training = tiny_session.training_data
-        return [
+        spellings = list(self.SPELLINGS)
+        claims = [
             LocationClaim(
-                observation=training.observations[i],
+                observation=training.observations[i].copy(),
                 claimed_location=(
-                    None if i % 4 == 3 else training.estimated_locations[i]
+                    None if i % 4 == 3 else training.estimated_locations[i].copy()
                 ),
                 claim_id=f"m-{i}",
-                metric=self.METRICS[i % 3],
+                metric=spellings[i % len(spellings)],
             )
-            for i in range(24)
+            for i in range(30)
         ]
+        order = np.random.default_rng(17).permutation(len(claims))
+        poison = [np.nan, np.inf, -np.inf]
+        for value, row in zip(poison, order[:3]):
+            claims[row].observation[row % claims[row].observation.size] = value
+        located = [row for row in order[3:] if claims[row].claimed_location is not None]
+        for value, row in zip(poison, located[:2]):
+            claims[row].claimed_location[row % 2] = value
+        return claims
+
+    def _canonical(self, claim):
+        return self.SPELLINGS[claim.metric]
+
+    @staticmethod
+    def _clean(claim):
+        return np.isfinite(claim.observation).all() and (
+            claim.claimed_location is None or np.isfinite(claim.claimed_location).all()
+        )
 
     @staticmethod
     def _batches(claims):
         return [claims, claims[::-1], claims[5:17], claims[::3]]
+
+    def test_fixture_mixes_every_kind_of_row(self, mixed_batch):
+        kinds = {
+            (self._canonical(c), c.claimed_location is None, bool(self._clean(c)))
+            for c in mixed_batch
+        }
+        for metric in self.METRICS:
+            assert (metric, False, True) in kinds
+            assert (metric, True, True) in kinds
+        assert {claim.metric for claim in mixed_batch} == set(self.SPELLINGS)
+        assert sum(not self._clean(claim) for claim in mixed_batch) == 5
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_located_verdict_same_alone_and_in_mixed_batches(
@@ -195,7 +238,9 @@ class TestBatchContract:
         located = [
             claim
             for claim in mixed_batch
-            if claim.claimed_location is not None and claim.metric == metric
+            if claim.claimed_location is not None
+            and self._clean(claim)
+            and self._canonical(claim) == metric
         ]
         alone = {claim.claim_id: service.verify_batch([claim])[0] for claim in located}
         checked = 0
@@ -203,12 +248,31 @@ class TestBatchContract:
             for verdict in service.verify_batch(batch):
                 if verdict.claim_id not in alone:
                     continue
-                solo = alone[verdict.claim_id]
-                assert verdict.metric == solo.metric == metric
-                assert verdict.score == solo.score
-                assert verdict.anomalous == solo.anomalous
+                assert verdict.metric == metric
+                assert verdict == alone[verdict.claim_id]
                 checked += 1
         assert checked >= 2 * len(located)
+
+    def test_poisoned_rows_keep_their_error_verdicts(self, service, mixed_batch):
+        checked = 0
+        for batch in self._batches(mixed_batch):
+            for claim, verdict in zip(batch, service.verify_batch(batch)):
+                if self._clean(claim):
+                    assert verdict.error is None
+                    continue
+                expected = (
+                    self.OBSERVATION_ERROR
+                    if not np.isfinite(claim.observation).all()
+                    else self.LOCATION_ERROR
+                )
+                assert verdict.error == expected
+                assert verdict.decision == "error" and verdict.anomalous
+                assert np.isnan(verdict.score)
+                assert verdict.metric == self._canonical(claim)
+                assert verdict.threshold == 25.0
+                assert verdict.claim_id == claim.claim_id
+                checked += 1
+        assert checked >= 10
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_locationless_verdict_is_score_at_its_batch_estimate(
@@ -219,12 +283,16 @@ class TestBatchContract:
         for batch in self._batches(mixed_batch):
             verdicts = service.verify_batch(batch)
             pending = [
-                row for row, claim in enumerate(batch) if claim.claimed_location is None
+                row
+                for row, claim in enumerate(batch)
+                if claim.claimed_location is None and self._clean(claim)
             ]
             observations = np.stack([batch[row].observation for row in pending])
             estimates = service.localizer.localize_observations(knowledge, observations)
             mine = [
-                pos for pos, row in enumerate(pending) if batch[row].metric == metric
+                pos
+                for pos, row in enumerate(pending)
+                if self._canonical(batch[row]) == metric
             ]
             expected = resolve_metric(metric).score(
                 knowledge, estimates[mine], observations[mine]
@@ -405,6 +473,45 @@ class TestValidation:
         assert tiny_service.validate(alias) == "diff"
         assert tiny_service.validate(default) == tiny_service.default_metric
         assert tiny_service.verify_batch([alias])[0].metric == "diff"
+
+    def test_every_registered_spelling_maps_to_its_canonical_name(
+        self, tiny_session
+    ):
+        """Names and aliases, re-cased or padded, resolve; unknown and
+        untrained metrics are claim errors; and validating any number of
+        distinct spellings leaves the lookup dict as it was built."""
+        service = DetectionService(
+            tiny_session.knowledge, thresholds={"diff": 1.0, "probability": 2.0}
+        )
+        lookup = dict(service._spellings)
+        spellings = {"diff": "diff", "probability": "probability"}
+        spellings.update(
+            (alias, name)
+            for alias, name in METRICS.aliases().items()
+            if name in spellings
+        )
+        assert {"dm", "difference", "prob", "pm"} <= set(spellings)
+        observation = np.zeros(service.n_groups)
+
+        def claim(metric):
+            return LocationClaim(
+                observation=observation, claimed_location=[0.0, 0.0], metric=metric
+            )
+
+        for spelling, name in spellings.items():
+            for variant in (spelling, spelling.upper(), f"  {spelling}\t"):
+                assert service.validate(claim(variant)) == name
+        for untrained in ("add_all", "AM", " addall "):
+            with pytest.raises(ClaimError, match="no trained threshold"):
+                service.validate(claim(untrained))
+        for unknown in ("bogus", "diff2", "prob ability"):
+            with pytest.raises(ClaimError, match="unknown metric"):
+                service.validate(claim(unknown))
+        padded = [" " * (i % 40) + "Dm" + " " * (i // 40) for i in range(1000)]
+        assert len(set(padded)) == 1000
+        for spelling in padded:
+            assert service.validate(claim(spelling)) == "diff"
+        assert service._spellings == lookup
 
     def test_needs_at_least_one_threshold(self, tiny_session):
         with pytest.raises(ValueError, match="at least one"):

@@ -3,9 +3,12 @@
 import asyncio
 import io
 import json
+import string
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.serving import (
     ClaimClient,
@@ -31,6 +34,62 @@ def _claims(service, count):
         )
         for i in range(count)
     ]
+
+
+def _good_lines(service, count):
+    """JSONL requests of valid claims with ids ``good-0 … good-<count-1>``."""
+    return [
+        json.dumps({**claim_to_dict(claim), "id": f"good-{i}"})
+        for i, claim in enumerate(_claims(service, count))
+    ]
+
+
+_LOCATION = [250.0, 250.0]
+
+#: Values that are not a numeric vector: text, ragged nesting, objects and
+#: integers too large for a float.
+_NOT_NUMERIC = st.one_of(
+    st.text(max_size=8),
+    st.lists(
+        st.lists(st.integers(0, 5), min_size=1, max_size=4), min_size=2, max_size=4
+    ).filter(lambda rows: len({len(row) for row in rows}) > 1),
+    st.dictionaries(st.text(max_size=3), st.integers(), min_size=1, max_size=3),
+    st.integers(309, 4000).map(lambda digits: [10**digits]),
+)
+
+
+def _malformed_lines(n_groups):
+    """Request lines that must each be answered with exactly one error."""
+    observation = [1.0] * n_groups
+    claim = {"observation": observation, "claimed_location": _LOCATION}
+    return st.one_of(
+        # An unknown metric name.
+        st.text(string.ascii_letters, min_size=1, max_size=8).map(
+            lambda name: json.dumps({**claim, "metric": f"bogus_{name}"})
+        ),
+        # A non-numeric observation or location.
+        _NOT_NUMERIC.map(
+            lambda value: json.dumps({**claim, "observation": value})
+        ),
+        _NOT_NUMERIC.map(
+            lambda value: json.dumps({**claim, "claimed_location": value})
+        ),
+        # An integer literal past Python's 4,300-digit conversion limit.
+        st.integers(4301, 8000).map(
+            lambda digits: '{"observation": [' + "9" * digits + "]}"
+        ),
+        # Nesting past the recursion limit, bare or as a metric name.
+        st.integers(1000, 20000).map(lambda depth: "[" * depth),
+        st.integers(900, 1100).map(
+            lambda depth: json.dumps({**claim, "metric": None}).replace(
+                "null", "[" * depth + "]" * depth
+            )
+        ),
+        # Plain garbage.
+        st.text(string.ascii_letters + string.punctuation + " ").map(
+            lambda text: "#" + text
+        ),
+    )
 
 
 class TestTcp:
@@ -114,6 +173,41 @@ class TestTcp:
         assert "invalid JSON" in by_id[None]["error"]
         assert "group" in by_id["short"]["error"]
         assert by_id["ok"]["decision"] in ("accept", "flag")
+
+    def test_oversized_line_answered_and_skipped(self, tiny_service):
+        """A line past the stream limit gets one error naming the limit;
+        the rest of it is discarded and the connection keeps serving."""
+        first, last = (line.encode() + b"\n" for line in _good_lines(tiny_service, 2))
+        oversized = b'{"observation": [' + b"1, " * 70_000 + b"1]}\n"
+        assert len(oversized) > 200_000
+
+        async def run():
+            async with ServiceRuntime(tiny_service) as runtime:
+                server = await serve_tcp(runtime, port=0)
+                port = server.sockets[0].getsockname()[1]
+                async with server:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", port
+                    )
+                    writer.write(first + oversized + last)
+                    await writer.drain()
+                    responses = [
+                        json.loads(
+                            await asyncio.wait_for(reader.readline(), timeout=30)
+                        )
+                        for _ in range(3)
+                    ]
+                    writer.close()
+                    await writer.wait_closed()
+                    return responses
+
+        responses = asyncio.run(run())
+        errors = [response for response in responses if "error" in response]
+        verdicts = {r["id"]: r for r in responses if "decision" in r}
+        assert len(errors) == 1
+        assert "65536-byte limit" in errors[0]["error"]
+        assert set(verdicts) == {"good-0", "good-1"}
+        assert all(v["decision"] in ("accept", "flag") for v in verdicts.values())
 
     def test_remote_error_raised_by_client(self, tiny_service):
         async def run():
@@ -225,6 +319,38 @@ class TestStdio:
         direct = tiny_service.verify_batch(claims)
         for offline in direct:
             assert verdicts[offline.claim_id]["score"] == offline.score
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_malformed_lines_each_get_one_error(self, tiny_service, data):
+        """Malformed lines among good ones: one response per line, an error
+        for each bad one, a verdict for each good one, and a normal return."""
+        bad = data.draw(
+            st.lists(_malformed_lines(tiny_service.n_groups), min_size=1, max_size=5)
+        )
+        lines = _good_lines(tiny_service, 4)
+        for line in bad:
+            lines.insert(data.draw(st.integers(0, len(lines))), line)
+        in_stream = io.StringIO("\n".join(lines) + "\n")
+        out_stream = io.StringIO()
+
+        async def run():
+            async with ServiceRuntime(tiny_service) as runtime:
+                return await serve_stdio(
+                    runtime, in_stream=in_stream, out_stream=out_stream
+                )
+
+        assert asyncio.run(run()) == len(lines)
+        responses = [json.loads(line) for line in out_stream.getvalue().splitlines()]
+        assert len(responses) == len(lines)
+        errors = [response for response in responses if "error" in response]
+        verdicts = [response["id"] for response in responses if "decision" in response]
+        assert len(errors) == len(bad)
+        assert sorted(verdicts) == [f"good-{i}" for i in range(4)]
 
     def test_blank_lines_skipped(self, tiny_service):
         in_stream = io.StringIO("\n\n\n")

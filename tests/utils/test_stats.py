@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 from scipy import stats as scipy_stats
 
 from repro.utils.stats import (
+    binomial_log_coefficient,
     binomial_log_pmf,
     binomial_mode,
     binomial_pmf,
@@ -170,3 +174,84 @@ class TestBinomialMode:
     def test_clipped_to_support(self):
         assert binomial_mode(10, np.array([1.0]))[0] == 10.0
         assert binomial_mode(10, np.array([0.0]))[0] == 0.0
+
+
+def _gammaln_coefficient(k, n):
+    """The reference expression the coefficient table is built from."""
+    k = np.asarray(k, dtype=np.float64)
+    n = float(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (
+            special.gammaln(n + 1.0)
+            - special.gammaln(k + 1.0)
+            - special.gammaln(n - k + 1.0)
+        )
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestBinomialLogCoefficient:
+    """Integer counts read a per-``n`` table; the bits never change."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 1000),
+        ks=st.lists(st.floats(0.0, 1.0), min_size=0, max_size=40),
+    )
+    def test_integer_counts_equal_the_gammaln_expression(self, n, ks):
+        k = np.floor(np.asarray(ks, dtype=np.float64) * (n + 1)).clip(0, n)
+        assert _same_bits(binomial_log_coefficient(k, n), _gammaln_coefficient(k, n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 1000),
+        ks=st.lists(
+            st.one_of(
+                st.integers(-5, 1005).map(float),
+                st.floats(-5.0, 1005.0),
+                st.sampled_from([np.nan, np.inf, -np.inf, -0.0]),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_mixed_arrays_take_the_fallback_with_the_same_bits(self, n, ks):
+        k = np.asarray(ks, dtype=np.float64)
+        assert _same_bits(binomial_log_coefficient(k, n), _gammaln_coefficient(k, n))
+
+    def test_full_support_and_scalars(self):
+        k = np.arange(301, dtype=np.float64)
+        got = binomial_log_coefficient(k, 300)
+        assert _same_bits(got, _gammaln_coefficient(k, 300))
+        for value in (0.0, 7.0, 300.0, 7.5, 301.0):
+            got = binomial_log_coefficient(np.float64(value), 300)
+            assert type(got) is type(_gammaln_coefficient(value, 300))
+            assert _same_bits(got, _gammaln_coefficient(value, 300))
+
+    @pytest.mark.parametrize("n", [40.5, -3.0, float(2**17)])
+    def test_untabled_n_uses_the_expression(self, n):
+        k = np.arange(5, dtype=np.float64)
+        assert _same_bits(binomial_log_coefficient(k, n), _gammaln_coefficient(k, n))
+
+    def test_result_keeps_the_expression_layout(self):
+        """Downstream reductions sum in memory order, so the gathered
+        result must have the strides the expression's output has."""
+        rng = np.random.default_rng(3)
+        base = rng.integers(0, 41, size=(6, 5, 4)).astype(np.float64)
+        views = [
+            base,
+            np.asfortranarray(base),
+            base.transpose(1, 2, 0),
+            base[:, ::2, 1:],
+            np.broadcast_to(base[:1], base.shape),
+            np.broadcast_to(base[:, :1], base.shape),
+        ]
+        for view in views:
+            got = binomial_log_coefficient(view, 40)
+            want = _gammaln_coefficient(view, 40)
+            assert got.strides == want.strides
+            assert _same_bits(got, want)
+            assert got.flags.writeable
