@@ -700,27 +700,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_cache_stats(store) -> None:
-    """One-line cache summary (plus the per-point sweep cache when used)."""
+    """One-line cache summary (plus a line for each per-point category used)."""
     if store is None:
         return
     print(
         f"cache: {store.hits} hit(s), {store.misses} miss(es) "
         f"under {store.root}"
     )
-    point_hits = store.hit_counts["attacked_scores"]
-    scored = point_hits + store.miss_counts["attacked_scores"]
-    if scored:
-        print(
-            f"cache: attacked scores for {point_hits}/{scored} point(s) "
-            "served from cache"
-        )
-    temporal_hits = store.hit_counts["temporal"]
-    temporal_total = temporal_hits + store.miss_counts["temporal"]
-    if temporal_total:
-        print(
-            f"cache: temporal outcomes for {temporal_hits}/{temporal_total} "
-            "point(s) served from cache"
-        )
+    for category, label in (
+        ("attacked_scores", "attacked scores"),
+        ("temporal", "temporal outcomes"),
+    ):
+        hits = store.hit_counts[category]
+        total = hits + store.miss_counts[category]
+        if total:
+            print(f"cache: {label} for {hits}/{total} point(s) served from cache")
 
 
 def _parse_shard(text: Optional[str]):
@@ -743,20 +737,32 @@ def _parse_shard(text: Optional[str]):
     return index, count
 
 
-def _sweep_status(spec, store, points) -> int:
-    """The ``sweep --status`` mode: manifest-backed progress, no compute.
+def _grid_progress(spec, store, points):
+    """Manifest-backed progress of every store category *spec* writes.
 
-    One manifest read per (density, localizer) session — no ``.npz`` is
-    opened and the cache counters stay untouched.  Stale manifests are
-    reconciled against the store (and republished healed) as a side
-    effect, so a deleted artifact shows up as pending immediately.
+    Yields ``(session label, category, progress)``: the sweep's
+    ``attacked_scores`` for each (density, localizer) session, plus its
+    ``temporal`` records when the spec carries a ``[timeline]``.  No
+    ``.npz`` is opened and the cache counters stay untouched; stale
+    manifests are reconciled against the store (and republished healed)
+    as a side effect, so a deleted artifact shows up as pending at once.
     """
-    total_done = total_points = total_healed = 0
     for localizer, group_size, session in spec.sessions(store=store):
-        progress = session.sweep().progress(points)
+        label = f"m={group_size} localizer={localizer}"
+        runners = [session.sweep()]
+        if spec.timeline is not None:
+            runners.append(session.temporal(spec.timeline))
+        for runner in runners:
+            yield label, runner.category, runner.progress(points)
+
+
+def _sweep_status(spec, store, points) -> int:
+    """The ``sweep --status`` mode: manifest-backed progress, no compute."""
+    total_done = total_points = total_healed = 0
+    for label, category, progress in _grid_progress(spec, store, points):
         healed = f", {progress.healed} healed" if progress.healed else ""
         print(
-            f"status m={group_size} localizer={localizer}: "
+            f"status {label} {category}: "
             f"{progress.done}/{progress.total} point(s) done{healed}"
         )
         total_done += progress.done
@@ -817,6 +823,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     from repro.experiments.scenario import ScenarioSpec
     from repro.experiments.store import ArtifactStore
+    from repro.experiments.sweep import shard_points
 
     if args.figures:
         if args.shard is not None or args.status:
@@ -857,10 +864,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     def run_pass(shard_arg):
         """One full (or one-shard) sweep pass; returns (rows, temporal rows)."""
-        slice_points = (
-            points if shard_arg is None else spec.points(shard=shard_arg)
+        total = len(densities) * len(localizers) * len(
+            points if shard_arg is None else shard_points(points, *shard_arg)
         )
-        total = len(slice_points) * len(densities) * len(localizers)
         print(header)
         rows = []
         temporal_rows = []
@@ -902,7 +908,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             # family.
             temporal = session.temporal(spec.timeline, workers=args.workers)
             for point, outcome in temporal.iter_outcomes(
-                slice_points, false_positive_rate=spec.false_positive_rate
+                points,
+                false_positive_rate=spec.false_positive_rate,
+                shard=shard_arg,
             ):
                 latency = outcome.detection_latency
                 first_fp = outcome.first_false_positive
@@ -941,30 +949,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     rows, temporal_rows = run_pass(shard)
     if shard is not None:
-        # The finishing shard renders the aggregate outputs: if every grid
-        # point of every session is now in the shared store, re-run the
-        # full grid warm (all cache hits, byte-identical to a single serial
-        # run); otherwise report this slice and leave aggregation to
-        # whichever shard completes the grid.
+        # The finishing shard renders the aggregate outputs: if every
+        # record of every category of every session is now in the shared
+        # store, re-run the full grid warm (all cache hits, byte-identical
+        # to a single serial run); otherwise report this slice and leave
+        # aggregation to whichever shard completes the grid.
         index, count = shard
-        grid_keys = [
-            key
-            for _, _, session in spec.sessions(store=store)
-            for key in session.attacked_scores_keys(points)
-        ]
-        present = sum(
-            1 for key in grid_keys if store.contains("attacked_scores", key)
-        )
-        if present < len(grid_keys):
+        progress = [p for _, _, p in _grid_progress(spec, store, points)]
+        present = sum(p.done for p in progress)
+        expected = sum(p.total for p in progress)
+        if present < expected:
             print(
                 f"shard {index}/{count}: slice done; {present}/"
-                f"{len(grid_keys)} grid point(s) in cache — waiting on "
+                f"{expected} grid point(s) in cache — waiting on "
                 "other shard(s) for aggregate outputs"
             )
             _print_cache_stats(store)
             return 0
         print(
-            f"shard {index}/{count}: all {len(grid_keys)} grid point(s) "
+            f"shard {index}/{count}: all {expected} grid point(s) "
             "in cache — rendering merged results"
         )
         rows, temporal_rows = run_pass(None)

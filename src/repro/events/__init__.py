@@ -10,9 +10,11 @@ The package has three layers:
 * :mod:`repro.events.temporal` — the epoch stepper: a mutable
   :class:`TemporalWorld` replayed from the session's victim stream, the
   shared :func:`~repro.events.temporal._simulate_point` computation, and
-  the store-aware, fan-out-capable :class:`TemporalRunner` producing
-  :class:`TemporalOutcome` records (detection latency, time to first
-  false positive, detection-rate drift).
+  the :class:`TemporalRunner` producing :class:`TemporalOutcome` records
+  (detection latency, time to first false positive, detection-rate
+  drift).  The runner sits on the sweep's store loop
+  (:class:`~repro.experiments.sweep.CachedGrid`), so temporal grids cache,
+  fan out, shard, publish manifests and report progress like static ones.
 
 Entry point: :meth:`LadSession.temporal
 <repro.experiments.session.LadSession.temporal>` or a scenario spec with

@@ -32,8 +32,8 @@ Determinism contract (the same one the sweep honours):
   :func:`_simulate_point` verbatim, so they are identical by construction;
 * cold results are persisted per point under
   :meth:`LadSession.temporal_key` (the attacked fingerprint plus the
-  timeline fingerprint), so interrupted temporal sweeps resume without
-  recomputing finished points.
+  timeline fingerprint) by the sweep's store loop, so interrupted temporal
+  sweeps resume without recomputing finished points.
 """
 
 from __future__ import annotations
@@ -59,7 +59,13 @@ from repro.core.metrics import resolve_metric
 from repro.core.verdict import Verdict, verdicts_from_scores
 from repro.events.engine import EventEngine
 from repro.events.timeline import TimelineSpec
-from repro.experiments.sweep import LocalizerModalities, SweepPoint, fan_out
+from repro.experiments.sweep import (
+    _WORKER_STATE,
+    CachedGrid,
+    SweepPoint,
+    _init_worker,
+    fan_out,
+)
 from repro.network.neighbors import NeighborIndex
 from repro.utils.rng import RandomState
 
@@ -291,6 +297,9 @@ def _simulate_point(
 ) -> Dict[str, np.ndarray]:
     """Run one sweep point through the timeline; returns the raw epoch record.
 
+    The record is exactly what the store persists, so ``events`` (the fired
+    labels per epoch) arrives as one JSON string array.
+
     This single function is the *entire* temporal computation — the serial
     path and every worker process call it with identical arguments, and all
     randomness inside comes from name-derived streams of *seed*, so
@@ -397,7 +406,7 @@ def _simulate_point(
         "attacked": attacked_record,
         "alive": alive_record,
         "times": times,
-        "events": events,
+        "events": np.array(json.dumps(events)),
     }
 
 
@@ -446,9 +455,7 @@ class TemporalOutcome:
         false_positive_rate: float,
     ) -> "TemporalOutcome":
         """Assemble an outcome from :func:`_simulate_point`'s raw record."""
-        events = arrays["events"]
-        if isinstance(events, np.ndarray):
-            events = json.loads(events.item())
+        events = json.loads(arrays["events"].item())
         return cls(
             point=point,
             scores=np.asarray(arrays["scores"], dtype=np.float64),
@@ -616,17 +623,9 @@ class TemporalOutcome:
         )
 
 
-#: Shared per-worker state, installed once by the pool initializer.
-_TEMPORAL_WORKER_STATE: dict = {}
-
-
-def _init_temporal_worker(payload: dict) -> None:
-    _TEMPORAL_WORKER_STATE.update(payload)
-
-
 def _simulate_point_worker(point: SweepPoint) -> Dict[str, np.ndarray]:
     """Worker entry: build the base world once, then simulate per point."""
-    state = _TEMPORAL_WORKER_STATE
+    state = _WORKER_STATE
     if "world" not in state:
         state["world"] = TemporalWorld.build(
             state["generator"],
@@ -644,16 +643,20 @@ def _simulate_point_worker(point: SweepPoint) -> Dict[str, np.ndarray]:
     )
 
 
-class TemporalRunner:
+class TemporalRunner(CachedGrid):
     """Fan sweep points through a timeline, with caching and fan-out.
 
     The temporal sibling of
-    :class:`~repro.experiments.sweep.SweepRunner`: same warm/cold store
-    partition (category ``"temporal"``, keyed by
-    :meth:`LadSession.temporal_key`), same shared-state worker pool with
-    the bit-identical serial fallback, same streaming iteration order.
-    Obtained via :meth:`LadSession.temporal`.
+    :class:`~repro.experiments.sweep.SweepRunner`, on the same
+    :class:`~repro.experiments.sweep.CachedGrid` store loop: store
+    category ``"temporal"`` keyed by :meth:`LadSession.temporal_key`, the
+    same warm/cold partition, manifest, ``shard=`` slices and
+    :meth:`progress`, the same worker pool with the bit-identical serial
+    fallback, and the same streaming iteration order.  Obtained via
+    :meth:`LadSession.temporal`.
     """
+
+    category = "temporal"
 
     def __init__(
         self,
@@ -662,37 +665,27 @@ class TemporalRunner:
         *,
         workers: int = 0,
     ):
-        self._session = session
+        super().__init__(session, workers=workers)
         self._timeline = timeline if timeline is not None else TimelineSpec()
-        self._workers = int(workers)
         self._world: Optional[TemporalWorld] = None
-
-    @property
-    def session(self) -> "LadSession":
-        """The session whose cached state this runner shares."""
-        return self._session
 
     @property
     def timeline(self) -> TimelineSpec:
         """The timeline every point is run through."""
         return self._timeline
 
-    def _base_world(self) -> TemporalWorld:
-        if self._world is None:
-            self._world = TemporalWorld.from_session(self._session)
-        return self._world
-
-    def _localizer_view(self) -> LocalizerModalities:
-        """The session localizer's modality tag, in picklable form.
-
-        Modality-targeted attack classes gate their displacement on it;
-        serial and worker paths receive the same view so they stay
-        bit-identical.
-        """
-        localizer = self._session.localizer
-        return LocalizerModalities(
-            modalities=tuple(localizer.modalities), name=localizer.name
-        )
+    def keys(self, points: Sequence[SweepPoint]) -> List[str]:
+        """Temporal store keys of *points* under this timeline, in grid order."""
+        return [
+            self._session.temporal_key(
+                point.metric,
+                point.attack,
+                degree_of_damage=point.degree_of_damage,
+                compromised_fraction=point.compromised_fraction,
+                timeline=self._timeline,
+            )
+            for point in points
+        ]
 
     def run(
         self, point: SweepPoint, *, false_positive_rate: float = 0.01
@@ -716,73 +709,35 @@ class TemporalRunner:
         points: Sequence[SweepPoint],
         *,
         false_positive_rate: float = 0.01,
+        shard: Optional[Tuple[int, int]] = None,
     ) -> Iterator[Tuple[SweepPoint, TemporalOutcome]]:
         """Yield ``(point, outcome)`` pairs in grid order as they complete.
 
-        When the session carries an artifact store every point is first
-        probed under its temporal fingerprint (attacked fingerprint plus
-        the timeline fingerprint): warm points stream from disk, the cold
-        remainder is simulated — serially or via the worker pool — and
-        each cold record is persisted the moment it arrives, so an
-        interrupted temporal sweep resumes by recomputing exactly the
-        missing points, bit-identical to an uninterrupted run.
-
-        The trained threshold is applied here in the parent (workers only
+        Warm records stream from the session store under their temporal
+        fingerprint (attacked fingerprint plus timeline fingerprint) and
+        cold ones are simulated and persisted as they arrive, so a resumed
+        temporal sweep is bit-identical to an uninterrupted one; *shard*
+        selects one slice of the grid (see
+        :meth:`~repro.experiments.sweep.CachedGrid._iter_arrays`).  The
+        trained threshold is applied here in the parent (workers only
         produce raw score matrices), so fan-out never re-trains.
         """
-        points = list(points)
-        session = self._session
-        store = session.store
-        keys: List[Optional[str]] = [None] * len(points)
-        warm_indices: set = set()
-        if store is not None:
-            for i, point in enumerate(points):
-                keys[i] = session.temporal_key(
-                    point.metric,
-                    point.attack,
-                    degree_of_damage=point.degree_of_damage,
-                    compromised_fraction=point.compromised_fraction,
-                    timeline=self._timeline,
-                )
-                if store.probe("temporal", keys[i]):
-                    warm_indices.add(i)
-        cold_records = self._iter_cold(
-            [points[i] for i in range(len(points)) if i not in warm_indices]
-        )
-        for i, point in enumerate(points):
-            threshold = session.threshold(
-                point.metric, false_positive_rate=false_positive_rate
-            )
-            arrays = None
-            if i in warm_indices:
-                arrays = store.load("temporal", keys[i])
-            if arrays is None:
-                arrays = next(cold_records) if i not in warm_indices else None
-                if arrays is None:
-                    # Vanished or corrupt since the probe (quarantined by
-                    # the failed load): recompute this point inline.
-                    arrays = self._simulate(point)
-                if store is not None and keys[i] is not None:
-                    store.save(
-                        "temporal",
-                        keys[i],
-                        scores=arrays["scores"],
-                        attacked=arrays["attacked"],
-                        alive=arrays["alive"],
-                        times=arrays["times"],
-                        events=np.array(json.dumps(list(arrays["events"]))),
-                    )
+        for point, arrays in self._iter_arrays(points, shard=shard):
             yield point, TemporalOutcome.from_arrays(
                 point,
                 arrays,
-                threshold=threshold,
+                threshold=self._session.threshold(
+                    point.metric, false_positive_rate=false_positive_rate
+                ),
                 false_positive_rate=false_positive_rate,
             )
 
-    def _simulate(self, point: SweepPoint) -> Dict[str, np.ndarray]:
-        """Simulate one point in-process."""
+    def _compute(self, point: SweepPoint) -> Dict[str, np.ndarray]:
+        """Simulate one point in-process (the base world is built once)."""
+        if self._world is None:
+            self._world = TemporalWorld.from_session(self._session)
         return _simulate_point(
-            self._base_world(),
+            self._world,
             self._session.knowledge,
             self._session.config.seed,
             self._timeline,
@@ -801,8 +756,8 @@ class TemporalRunner:
             _simulate_point_worker,
             points,
             self._workers,
-            serial=self._simulate,
-            initializer=_init_temporal_worker,
+            serial=self._compute,
+            initializer=_init_worker,
             worker_state=lambda: nullcontext(
                 {
                     "generator": session.generator,
@@ -814,10 +769,4 @@ class TemporalRunner:
                     "localizer_view": self._localizer_view(),
                 }
             ),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"TemporalRunner(workers={self._workers}, "
-            f"timeline={self._timeline}, session={self._session!r})"
         )

@@ -1,12 +1,13 @@
 """Advisory sweep manifests: cheap progress accounting for fleet sweeps.
 
 A sweep over a point grid publishes one ``attacked_scores/<key>.npz`` per
-point.  Answering "how far along is this sweep?" from the ``.npz`` files
-alone means re-deriving every per-point fingerprint and stat-ing every
-artifact — fine for one host, wasteful for an operator polling a shared
-cache that several shards are filling.  The manifest is a single small JSON
-artifact per (session, grid) pair recording the ordered point keys and a
-per-point status, so ``lad-repro sweep --status`` reads one file.
+point (a temporal sweep one ``temporal/<key>.npz``).  Answering "how far
+along is this sweep?" from the ``.npz`` files alone means re-deriving every
+per-point fingerprint and stat-ing every artifact — fine for one host,
+wasteful for an operator polling a shared cache that several shards are
+filling.  The manifest is a single small JSON artifact per (session,
+category, grid) recording the ordered point keys and a per-point status,
+so ``lad-repro sweep --status`` reads one file per category.
 
 Manifests are **advisory**: the ``.npz`` artifacts stay the source of
 truth.  A manifest can be stale in either direction — an artifact deleted

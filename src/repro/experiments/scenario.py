@@ -37,7 +37,7 @@ from repro.events.timeline import TimelineSpec
 from repro.experiments.config import SimulationConfig
 from repro.experiments.session import LadSession
 from repro.experiments.store import ArtifactStore
-from repro.experiments.sweep import SweepPoint, SweepRunner, shard_points
+from repro.experiments.sweep import SweepPoint, SweepRunner
 from repro.localization.base import LOCALIZERS
 from repro.localization.beacons import BeaconSpec
 from repro.utils.validation import check_fraction
@@ -163,22 +163,15 @@ class ScenarioSpec:
 
     # -- grid compilation --------------------------------------------------
 
-    def points(
-        self, shard: Optional[Tuple[int, int]] = None
-    ) -> List[SweepPoint]:
-        """The spec's grid, compiled for :class:`SweepRunner`.
+    def points(self) -> List[SweepPoint]:
+        """The spec's full grid, compiled for the sweep and temporal runners.
 
-        *shard* — an ``(index, count)`` pair — restricts the grid to one
-        deterministic slice (see
-        :func:`~repro.experiments.sweep.shard_points`); the slices of a
-        fleet are disjoint and union to the full grid.
+        A fleet slice is a runner's ``shard=`` argument, not a smaller grid:
+        the runners' manifests always cover the full grid.
         """
-        points = SweepRunner.grid(
+        return SweepRunner.grid(
             self.metrics, self.attacks, self.degrees, self.fractions
         )
-        if shard is not None:
-            points = shard_points(points, *shard)
-        return points
 
     @property
     def grid_size(self) -> int:

@@ -12,13 +12,16 @@ files.  Keys are SHA-256 hashes of a canonical JSON rendering of the
 fingerprint dictionary describing how an artifact was produced; values are
 named numpy arrays.  :class:`~repro.experiments.session.LadSession` wires
 it into its benign-score, victim-sample and per-point attacked-score
-caches, and the CLI exposes it as ``--cache-dir``.
+caches, the sweep and temporal runners keep their per-point records and
+grid manifests in it, and the CLI exposes it as ``--cache-dir``.
 
 On disk the layout is one directory per category::
 
     <root>/benign_scores/<key>.npz     trained benign metric scores
     <root>/victims/<key>.npz           victims' honest observations
     <root>/attacked_scores/<key>.npz   attacked scores of one sweep point
+    <root>/temporal/<key>.npz          per-epoch record of one temporal point
+    <root>/manifest/<key>.json         progress manifest of one grid category
 
 Keys change whenever any fingerprinted input changes (deployment geometry,
 seed, sample sizes, component implementations, attack parameters), so

@@ -30,11 +30,16 @@ and embedded interpreters) degrade gracefully: the runner emits a
 ``RuntimeWarning`` and runs the identical serial path instead of crashing
 mid-sweep.
 
+:class:`CachedGrid` is the one store loop under both runners: the sweep
+(category ``attacked_scores``) and the temporal runner
+(:mod:`repro.events.temporal`, category ``temporal``) each name their
+category and supply per-point keys and computations, and inherit the
+warm/cold partition, the manifest, ``shard=`` and :meth:`~CachedGrid.progress`.
+
 :func:`fan_out` is that pool-with-serial-fallback, and the only process
 pool of the package: the sweep's cold points, the temporal runner's
-points (:mod:`repro.events.temporal`) and the figures' per-session
-training passes (:mod:`repro.experiments.figures.common`) all fan out
-through it.
+points and the figures' per-session training passes
+(:mod:`repro.experiments.figures.common`) all fan out through it.
 
 The figure drivers (:mod:`repro.experiments.figures`) all route their
 parameter grids through this runner.
@@ -80,6 +85,7 @@ if TYPE_CHECKING:  # pragma: no cover - imported for type checkers only
     from repro.experiments.session import LadSession
 
 __all__ = [
+    "CachedGrid",
     "LocalizerModalities",
     "SweepPoint",
     "SweepRunner",
@@ -344,12 +350,152 @@ def _score_point(point: SweepPoint) -> np.ndarray:
     )
 
 
-class SweepRunner:
+class CachedGrid:
+    """A grid of sweep points whose per-point arrays persist in the session store.
+
+    The one store loop under :class:`SweepRunner` (category
+    ``"attacked_scores"``) and
+    :class:`~repro.events.temporal.TemporalRunner` (category
+    ``"temporal"``).  A subclass names its :attr:`category` and supplies
+    three hooks, each giving the named arrays the store persists for a
+    point:
+
+    * ``keys(points)`` — the points' store keys, in grid order;
+    * ``_compute(point)`` — one point, computed in-process;
+    * ``_iter_cold(points)`` — the store-missing points in grid order,
+      fanned out through :func:`fan_out`.
+    """
+
+    #: Store category of the per-point artifacts.
+    category = ""
+
+    def __init__(self, session: "LadSession", *, workers: int = 0):
+        self._session = session
+        self._workers = int(workers)
+
+    @property
+    def session(self) -> "LadSession":
+        """The session whose cached state this runner shares."""
+        return self._session
+
+    def _localizer_view(self) -> LocalizerModalities:
+        """The session localizer's modality tag, in picklable form.
+
+        Modality-targeted attack classes gate their displacement on it;
+        serial and worker paths receive the same view so they stay
+        bit-identical.
+        """
+        localizer = self._session.localizer
+        return LocalizerModalities(
+            modalities=tuple(localizer.modalities), name=localizer.name
+        )
+
+    def progress(self, points: Sequence[SweepPoint]) -> SweepProgress:
+        """Manifest-backed progress of this category over *points*.
+
+        Loads the grid's manifest (merging any on-disk copy another shard
+        published), reconciles it against the store — the ``.npz``
+        artifacts stay the source of truth, so phantom "done" entries whose
+        artifact vanished are healed back to pending — republishes the
+        healed manifest, and returns the counts.  Never opens an ``.npz``
+        and never touches the store's hit/miss counters.
+        """
+        points = list(points)
+        store = self._session.store
+        if store is None:
+            raise ValueError("grid progress requires a session artifact store")
+        manifest = SweepManifest.for_points(points, self.keys(points))
+        disk = SweepManifest.load(store, manifest.key)
+        if disk is not None:
+            manifest.absorb_done(disk)
+        healed = manifest.reconcile(store, self.category)
+        manifest.publish(store)
+        return SweepProgress(
+            total=manifest.total,
+            done=manifest.done_count,
+            healed=healed,
+            key=manifest.key,
+        )
+
+    def _iter_arrays(
+        self,
+        points: Sequence[SweepPoint],
+        *,
+        shard: Optional[Tuple[int, int]] = None,
+    ) -> Iterator[Tuple[SweepPoint, Dict[str, np.ndarray]]]:
+        """Yield ``(point, arrays)`` in grid order: warm from disk, cold computed.
+
+        With a session store, the selected points are probed first —
+        existence checks only, so the generator stays O(1) in memory for
+        arbitrarily long resumed grids — and the manifest of the full grid
+        is published.  The cold remainder goes through :meth:`_iter_cold`;
+        each cold result is saved atomically and recorded done the moment
+        it arrives.  A warm artifact that vanished or was corrupt since the
+        probe (quarantined by the failed load) is recomputed inline.
+
+        *shard* restricts the iteration to one deterministic slice of the
+        grid (``(index, count)``, see :func:`shard_points`) while the
+        manifest still covers the *full* grid, so several hosts pointing
+        at the same store converge on one shared progress record.
+        """
+        points = list(points)
+        store = self._session.store
+        selected = list(range(len(points)))
+        if shard is not None:
+            index, count = _validate_shard(shard)
+            selected = [
+                i for i, p in enumerate(points) if shard_of_point(p, count) == index
+            ]
+        keys: List[Optional[str]] = [None] * len(points)
+        warm_indices: set = set()
+        manifest: Optional[SweepManifest] = None
+        if store is not None:
+            selected_set = set(selected)
+            done_keys = []
+            keys = self.keys(points)
+            for i, key in enumerate(keys):
+                if i in selected_set:
+                    # Misses are only counted for points this run will have
+                    # to compute and publish — our own slice.
+                    if store.probe(self.category, key):
+                        warm_indices.add(i)
+                        done_keys.append(key)
+                elif store.contains(self.category, key):
+                    done_keys.append(key)
+            # The scan above checked every point against the store, so the
+            # fresh manifest *is* the reconciled truth at this instant —
+            # merging the disk copy could only resurrect phantom "done"s.
+            # Publishing it heals a stale manifest as a side effect.
+            manifest = SweepManifest.for_points(points, keys, done=done_keys)
+            manifest.publish(store)
+        cold = self._iter_cold([points[i] for i in selected if i not in warm_indices])
+        for i in selected:
+            if i in warm_indices:
+                arrays = store.load(self.category, keys[i])
+                if arrays is not None:
+                    yield points[i], arrays
+                    continue
+                arrays = self._compute(points[i])
+            else:
+                arrays = next(cold)
+            if manifest is not None:
+                store.save(self.category, keys[i], **arrays)
+                manifest.record_done(store, keys[i])
+            yield points[i], arrays
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"{type(self).__name__}(workers={self._workers}, "
+            f"session={self._session!r})"
+        )
+
+
+class SweepRunner(CachedGrid):
     """Fan a parameter grid over workers that share the cached state.
 
     Parameters
     ----------
-    simulation:
+    session:
         The :class:`~repro.experiments.session.LadSession` whose cached
         knowledge, victims and benign scores the sweep reuses.
     workers:
@@ -364,19 +510,7 @@ class SweepRunner:
     >>> rates = runner.detection_rates(points)
     """
 
-    def __init__(self, simulation: "LadSession", *, workers: int = 0):
-        self._simulation = simulation
-        self._workers = int(workers)
-
-    @property
-    def simulation(self) -> "LadSession":
-        """The session whose cached state this runner shares."""
-        return self._simulation
-
-    @property
-    def session(self) -> "LadSession":
-        """Alias of :attr:`simulation` matching the session API naming."""
-        return self._simulation
+    category = "attacked_scores"
 
     @staticmethod
     def grid(
@@ -395,6 +529,10 @@ class SweepRunner:
             )
         ]
 
+    def keys(self, points: Sequence[SweepPoint]) -> List[str]:
+        """Attacked-score store keys of *points*, in grid order."""
+        return self._session.attacked_scores_keys(points)
+
     def attacked_scores(
         self,
         points: Sequence[SweepPoint],
@@ -410,35 +548,6 @@ class SweepRunner:
         """
         return dict(self.iter_attacked_scores(points, shard=shard))
 
-    def progress(self, points: Sequence[SweepPoint]) -> SweepProgress:
-        """Manifest-backed progress of the sweep over *points*.
-
-        Loads the grid's manifest (merging any on-disk copy another shard
-        published), reconciles it against the store — the ``.npz``
-        artifacts stay the source of truth, so phantom "done" entries whose
-        artifact vanished are healed back to pending — republishes the
-        healed manifest, and returns the counts.  Never opens an ``.npz``
-        and never touches the store's hit/miss counters.
-        """
-        points = list(points)
-        session = self._simulation
-        store = session.store
-        if store is None:
-            raise ValueError("sweep progress requires a session artifact store")
-        keys = session.attacked_scores_keys(points)
-        manifest = SweepManifest.for_points(points, keys)
-        disk = SweepManifest.load(store, manifest.key)
-        if disk is not None:
-            manifest.absorb_done(disk)
-        healed = manifest.reconcile(store, "attacked_scores")
-        manifest.publish(store)
-        return SweepProgress(
-            total=manifest.total,
-            done=manifest.done_count,
-            healed=healed,
-            key=manifest.key,
-        )
-
     def iter_attacked_scores(
         self,
         points: Sequence[SweepPoint],
@@ -451,107 +560,42 @@ class SweepRunner:
         :meth:`attacked_scores`: the CLI ``sweep`` command prints each point
         the moment it is scored instead of waiting for the whole grid.
 
-        When the session carries an artifact store, every point is first
-        looked up under its attacked-score fingerprint: warm points stream
-        straight from disk, only the cold remainder is computed (serially
-        or via the shared-memory worker pool) and each cold result is
-        published atomically the moment it arrives.  An interrupted sweep
-        resumed with the same cache directory therefore recomputes exactly
-        the missing points — and, because each point's random stream is
-        derived from the seed and parameter names alone, reproduces an
-        uninterrupted cold run bit for bit.
-
-        With ``workers > 1`` the pool's result iterator is consumed lazily,
-        so scoring and downstream reporting overlap; when fan-out is
+        Warm points stream from the session store under their attacked-score
+        fingerprint and cold ones are computed and published as they arrive
+        (see :meth:`CachedGrid._iter_arrays`, which also explains *shard*).
+        Each point's random stream derives from the seed and parameter names
+        alone, so a resumed sweep reproduces an uninterrupted cold run bit
+        for bit.  With ``workers > 1`` the pool's results are consumed
+        lazily, so scoring and downstream reporting overlap; when fan-out is
         unavailable (or a pool dies mid-sweep) the remaining points continue
         on the bit-identical serial path after a :class:`RuntimeWarning`.
-
-        *shard* restricts the iteration to one deterministic slice of the
-        grid (``(index, count)``, see :func:`shard_points`) while the
-        manifest written alongside still covers the *full* grid — several
-        hosts pointing at the same store each compute their own slice and
-        converge on one shared progress record.
         """
-        points = list(points)
-        session = self._simulation
-        store = session.store
-        selected = list(range(len(points)))
-        if shard is not None:
-            index, count = _validate_shard(shard)
-            selected = [
-                i for i, p in enumerate(points) if shard_of_point(p, count) == index
-            ]
-        # Partition warm/cold with existence probes only (the pre-scan
-        # must not read N arrays up front: warm artifacts are loaded one
-        # at a time at yield time, keeping the generator O(1) in memory
-        # for arbitrarily long resumed sweeps).
-        keys: List[Optional[str]] = [None] * len(points)
-        warm_indices: set = set()
-        manifest: Optional[SweepManifest] = None
-        if store is not None:
-            selected_set = set(selected)
-            done_keys = []
-            keys = session.attacked_scores_keys(points)
-            for i in range(len(points)):
-                if i in selected_set:
-                    # Misses are only counted for points this run will have
-                    # to compute and publish — our own slice.
-                    if store.probe("attacked_scores", keys[i]):
-                        warm_indices.add(i)
-                        done_keys.append(keys[i])
-                elif store.contains("attacked_scores", keys[i]):
-                    done_keys.append(keys[i])
-            # The scan above checked every point against the store, so the
-            # fresh manifest *is* the reconciled truth at this instant —
-            # merging the disk copy could only resurrect phantom "done"s.
-            # Publishing it heals a stale manifest as a side effect.
-            manifest = SweepManifest.for_points(points, keys, done=done_keys)
-            manifest.publish(store)
-        cold_scores = self._iter_cold_scores(
-            [points[i] for i in selected if i not in warm_indices]
-        )
-        for i in selected:
-            point = points[i]
-            if i in warm_indices:
-                cached = store.load("attacked_scores", keys[i])
-                if cached is not None:
-                    yield point, cached["scores"]
-                    continue
-                # Vanished or corrupt since the probe (quarantined by the
-                # failed load): recompute this point inline.
-                scores = self._score(point)
-            else:
-                scores = next(cold_scores)
-            if store is not None and keys[i] is not None:
-                store.save("attacked_scores", keys[i], scores=scores)
-                if manifest is not None:
-                    manifest.record_done(store, keys[i])
-            yield point, scores
+        for point, arrays in self._iter_arrays(points, shard=shard):
+            yield point, arrays["scores"]
 
     def _score(self, point: SweepPoint) -> np.ndarray:
         """Attacked scores of one point, computed in-process."""
-        return self._simulation._compute_attacked_scores(
+        return self._session._compute_attacked_scores(
             point.metric,
             point.attack,
             degree_of_damage=point.degree_of_damage,
             compromised_fraction=point.compromised_fraction,
         )
 
-    def _iter_cold_scores(self, points: List[SweepPoint]) -> Iterator[np.ndarray]:
-        """Compute scores for store-missing points, in grid order.
+    def _compute(self, point: SweepPoint) -> Dict[str, np.ndarray]:
+        return {"scores": self._score(point)}
 
-        The store was already consulted by :meth:`iter_attacked_scores`
-        (which also publishes the results), so this path scores directly —
-        via the shared-memory pool when requested, serially otherwise.
-        """
-        return fan_out(
+    def _iter_cold(self, points: List[SweepPoint]) -> Iterator[Dict[str, np.ndarray]]:
+        """Score store-missing points in grid order (shared-memory pool or serial)."""
+        for scores in fan_out(
             _score_point,
             points,
             self._workers,
             serial=self._score,
             initializer=_init_worker,
             worker_state=self._shared_payload,
-        )
+        ):
+            yield {"scores": scores}
 
     def _pool_payload(self):
         """Shared segments plus the metadata-only pool initializer payload.
@@ -565,7 +609,7 @@ class SweepRunner:
         process.  The caller owns the returned segments and must
         close/unlink them once the pool is done.
         """
-        session = self._simulation
+        session = self._session
         sample = session.victims()
         knowledge_arrays, knowledge_skeleton = session.knowledge.share_parts()
         segments = []
@@ -589,10 +633,7 @@ class SweepRunner:
             "knowledge_skeleton": knowledge_skeleton,
             "backend_spec": session.backend_spec,
             "shared_arrays": shared_arrays,
-            "localizer_view": LocalizerModalities(
-                modalities=tuple(session.localizer.modalities),
-                name=session.localizer.name,
-            ),
+            "localizer_view": self._localizer_view(),
         }
         return segments, payload
 
@@ -615,7 +656,7 @@ class SweepRunner:
         attacked = self.attacked_scores(points)
         return {
             point: compute_roc(
-                self._simulation.benign_scores(point.metric),
+                self._session.benign_scores(point.metric),
                 scores,
                 num_thresholds=num_thresholds,
             )
@@ -660,12 +701,9 @@ class SweepRunner:
             yield (
                 point,
                 evaluate_detection(
-                    self._simulation.benign_scores(point.metric),
+                    self._session.benign_scores(point.metric),
                     scores,
                     false_positive_rate=false_positive_rate,
                     metric=point.metric,
                 ),
             )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SweepRunner(workers={self._workers}, simulation={self._simulation!r})"

@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.events import EventSpec, TimelineSpec
 from repro.experiments.config import SimulationConfig
 from repro.experiments.manifest import (
     MANIFEST_CATEGORY,
@@ -94,6 +95,34 @@ class TestManifestDocument:
         assert SweepManifest.from_payload(duplicated) is None
 
 
+#: A small timeline for the temporal runner: the attack switches on mid-run.
+_TIMELINE = TimelineSpec(
+    epochs=3, events=(EventSpec(kind="attack", action="on", at=(1.0,)),)
+)
+
+
+def _runner(session, category):
+    """The runner of *session* that writes the store category *category*."""
+    if category == "attacked_scores":
+        return session.sweep()
+    return session.temporal(_TIMELINE)
+
+
+def _results(runner, points):
+    """Every point's result, streamed through the runner's cached grid."""
+    if runner.category == "attacked_scores":
+        return dict(runner.iter_attacked_scores(points))
+    return dict(runner.iter_outcomes(points))
+
+
+def _assert_same(resumed, original):
+    """Scores compare bit for bit; outcomes through ``TemporalOutcome.__eq__``."""
+    if isinstance(original, np.ndarray):
+        np.testing.assert_array_equal(resumed, original)
+    else:
+        assert resumed == original
+
+
 class TestSweepIntegration:
     def test_sweep_publishes_manifest(self, tiny_spec, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -129,8 +158,9 @@ class TestSweepIntegration:
         assert fresh.store.hit_counts["attacked_scores"] == 0
         assert fresh.store.miss_counts["attacked_scores"] == 0
 
+    @pytest.mark.parametrize("category", ["attacked_scores", "temporal"])
     def test_stale_manifest_heals_and_resume_recomputes_one_point(
-        self, tiny_spec, tmp_path
+        self, tiny_spec, tmp_path, category
     ):
         """Delete one ``.npz`` behind the manifest's back: progress reports
         the phantom done as healed, and resume recomputes exactly that
@@ -138,14 +168,13 @@ class TestSweepIntegration:
         store = ArtifactStore(tmp_path)
         session = tiny_spec.session(store=store)
         points = tiny_spec.points()
-        original = dict(session.sweep().iter_attacked_scores(points))
+        original = _results(_runner(session, category), points)
 
-        victim = points[1]
-        victim_key = session.attacked_scores_keys(points)[1]
-        store.path_for("attacked_scores", victim_key).unlink()
+        victim_key = _runner(session, category).keys(points)[1]
+        store.path_for(category, victim_key).unlink()
 
         status_session = tiny_spec.session(store=ArtifactStore(tmp_path))
-        progress = status_session.sweep().progress(points)
+        progress = _runner(status_session, category).progress(points)
         assert progress.done == len(points) - 1
         assert progress.healed == 1
         # The healed manifest was republished: a reload sees the truth.
@@ -154,12 +183,12 @@ class TestSweepIntegration:
         assert reloaded.done_count == len(points) - 1
 
         resumed = tiny_spec.session(store=ArtifactStore(tmp_path))
-        scores = dict(resumed.sweep().iter_attacked_scores(points))
-        assert resumed.store.hit_counts["attacked_scores"] == len(points) - 1
-        assert resumed.store.miss_counts["attacked_scores"] == 1
+        results = _results(_runner(resumed, category), points)
+        assert resumed.store.hit_counts[category] == len(points) - 1
+        assert resumed.store.miss_counts[category] == 1
         for point in points:
-            np.testing.assert_array_equal(scores[point], original[point])
-        assert resumed.sweep().progress(points).remaining == 0
+            _assert_same(results[point], original[point])
+        assert _runner(resumed, category).progress(points).remaining == 0
 
     def test_corrupt_manifest_is_ignored_and_rebuilt(self, tiny_spec, tmp_path):
         store = ArtifactStore(tmp_path)

@@ -4,9 +4,10 @@ The fleet dispatch mode only works if (a) the partition itself is a real
 partition — disjoint slices whose union is the full grid, stable across
 hosts, re-runs and grid orderings — and (b) every execution topology
 (serial, shm pool, N shards merged through a shared store, interrupted and
-resumed shards) publishes bit-identical attacked scores.  Both halves are
-pinned here: the partition properties with hypothesis over random grids,
-the topology invariance end to end on a small spec.
+resumed shards) publishes bit-identical attacked scores and temporal
+records.  Both halves are pinned here: the partition properties with
+hypothesis over random grids, the topology invariance end to end on a
+small spec.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.events import EventSpec, TimelineSpec
 from repro.experiments import session as session_module
 from repro.experiments.config import SimulationConfig
 from repro.experiments.scenario import ScenarioSpec
@@ -127,33 +129,68 @@ def tiny_spec():
     )
 
 
+#: A small timeline for the temporal runner: jitter, then a mid-run attack.
+_TIMELINE = TimelineSpec(
+    epochs=3,
+    events=(
+        EventSpec(
+            kind="mobility",
+            action="jitter",
+            period=1.0,
+            start=1.0,
+            fraction=0.25,
+            amplitude=5.0,
+        ),
+        EventSpec(kind="attack", action="on", at=(1.0,)),
+    ),
+)
+
+
+def _stream(session, category, points, **kwargs):
+    """The streaming results of the runner writing *category*."""
+    if category == "attacked_scores":
+        return session.sweep().iter_attacked_scores(points, **kwargs)
+    return session.temporal(_TIMELINE).iter_outcomes(points, **kwargs)
+
+
+def _assert_same(merged, serial):
+    """Scores compare bit for bit; outcomes through ``TemporalOutcome.__eq__``."""
+    if isinstance(serial, np.ndarray):
+        np.testing.assert_array_equal(merged, serial)
+    else:
+        assert merged == serial
+
+
 class TestTopologyInvariance:
     """serial == shm pool == N-shard merge, bit for bit."""
 
-    @pytest.mark.parametrize("count", [1, 2, 3])
-    def test_shard_union_equals_serial_run(self, tiny_spec, tmp_path, count):
+    @pytest.mark.parametrize(
+        "count, category",
+        [(count, "attacked_scores") for count in (1, 2, 3)]
+        + [(count, "temporal") for count in (1, 2, 3)],
+        ids=["1", "2", "3", "temporal-1", "temporal-2", "temporal-3"],
+    )
+    def test_shard_union_equals_serial_run(self, tiny_spec, tmp_path, count, category):
         points = tiny_spec.points()
-        serial = dict(tiny_spec.session().sweep().iter_attacked_scores(points))
+        serial = dict(_stream(tiny_spec.session(), category, points))
 
         cache = tmp_path / f"shards-{count}"
         for index in range(count):
             shard_session = tiny_spec.session(store=ArtifactStore(cache))
             produced = dict(
-                shard_session.sweep().iter_attacked_scores(
-                    points, shard=(index, count)
-                )
+                _stream(shard_session, category, points, shard=(index, count))
             )
             assert list(produced) == shard_points(points, index, count)
 
         # A follow-up full run over the shared cache must be fully warm and
         # bit-identical to the serial reference.
         warm = tiny_spec.session(store=ArtifactStore(cache))
-        merged = dict(warm.sweep().iter_attacked_scores(points))
-        assert warm.store.miss_counts["attacked_scores"] == 0
-        assert warm.store.hit_counts["attacked_scores"] == len(points)
+        merged = dict(_stream(warm, category, points))
+        assert warm.store.miss_counts[category] == 0
+        assert warm.store.hit_counts[category] == len(points)
         assert list(merged) == points
         for point in points:
-            np.testing.assert_array_equal(merged[point], serial[point])
+            _assert_same(merged[point], serial[point])
 
     def test_pool_matches_serial_and_sharded(self, tiny_spec, tmp_path):
         points = tiny_spec.points()

@@ -362,6 +362,63 @@ class TestTemporalCli:
         assert all(row["detection_latency"] == 2 for row in payload["temporal"])
 
 
+#: TEMPORAL_SPEC over four degrees of damage.  A point's shard hashes its
+#: stream name, and under ``--shard i/2`` each shard owns two of these.
+TEMPORAL_FLEET_SPEC = TEMPORAL_SPEC.replace(
+    "degrees = [120.0]", "degrees = [80.0, 100.0, 120.0, 160.0]"
+)
+
+
+class TestTemporalFleet:
+    """``--status`` and ``--shard`` count the temporal records a spec writes.
+
+    Both tests replay a shard killed between its static and temporal
+    passes: shard 0/2 runs, then its ``temporal/*.npz`` records vanish.
+    """
+
+    @pytest.fixture()
+    def half_fleet(self, capsys, tmp_path):
+        spec_path = tmp_path / "fleet.toml"
+        spec_path.write_text(TEMPORAL_FLEET_SPEC)
+        cache = tmp_path / "cache"
+        args = ["sweep", str(spec_path), "--cache-dir", str(cache)]
+        assert main([*args, "--shard", "0/2"]) == 0
+        assert "[2/2]" in capsys.readouterr().out
+        records = sorted((cache / "temporal").glob("*.npz"))
+        assert len(records) == 2
+        for record in records:
+            record.unlink()
+        return args
+
+    def test_status_counts_missing_temporal_records(self, capsys, half_fleet):
+        assert main([*half_fleet, "--status"]) == 0
+        out = capsys.readouterr().out
+        assert "status: 2/8 point(s) done (2 stale manifest entries healed)" in out
+        assert "attacked_scores: 2/4 point(s) done\n" in out
+        assert "temporal: 0/4 point(s) done, 2 healed\n" in out
+
+    def test_finishing_shard_waits_for_missing_temporal_records(
+        self, capsys, tmp_path, half_fleet
+    ):
+        assert main([*half_fleet, "--shard", "1/2"]) == 0
+        out = capsys.readouterr().out
+        assert "[2/2]" in out
+        assert "shard 1/2: slice done; 6/8 grid point(s) in cache — waiting" in out
+        assert "rendering merged results" not in out
+
+        # Shard 0 reruns and finds the grid complete.  Its merge pass serves
+        # every temporal record from cache, so its temporal misses are its
+        # own two points, and its merged JSON equals a serial run's.
+        merged = tmp_path / "merged.json"
+        assert main([*half_fleet, "--shard", "0/2", "--json", str(merged)]) == 0
+        out = capsys.readouterr().out
+        assert "shard 0/2: all 8 grid point(s) in cache" in out
+        assert "temporal outcomes for 4/6 point(s) served from cache" in out
+        serial = tmp_path / "serial.json"
+        assert main([*half_fleet[:2], "--json", str(serial)]) == 0
+        assert merged.read_text() == serial.read_text()
+
+
 class TestBackendsCommand:
     def test_backends_lists_and_probes(self, capsys):
         assert main(["backends"]) == 0
