@@ -130,8 +130,7 @@ _LAZY_EXPORTS = {
     "ArtifactStore": "repro.experiments.store",
     "SweepPoint": "repro.experiments.sweep",
     "SweepRunner": "repro.experiments.sweep",
-    "SweepManifest": "repro.experiments.manifest",
-    "SweepProgress": "repro.experiments.manifest",
+    "SweepProgress": "repro.experiments.sweep",
     "shard_of_point": "repro.experiments.sweep",
     "shard_points": "repro.experiments.sweep",
     "FigureResult": "repro.experiments.results",
@@ -248,7 +247,6 @@ __all__ = [
     "ArtifactStore",
     "SweepPoint",
     "SweepRunner",
-    "SweepManifest",
     "SweepProgress",
     "shard_of_point",
     "shard_points",

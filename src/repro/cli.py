@@ -569,8 +569,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--status",
         action="store_true",
         help=(
-            "report manifest-backed sweep progress (k/n points done, "
-            "requires --cache-dir) and exit without computing anything"
+            "report sweep progress (k/n points whose artifact is in the "
+            "cache, requires --cache-dir) and exit without computing or "
+            "writing anything"
         ),
     )
 
@@ -738,14 +739,13 @@ def _parse_shard(text: Optional[str]):
 
 
 def _grid_progress(spec, store, points):
-    """Manifest-backed progress of every store category *spec* writes.
+    """Progress of every store category *spec* writes, read from the store.
 
     Yields ``(session label, category, progress)``: the sweep's
     ``attacked_scores`` for each (density, localizer) session, plus its
-    ``temporal`` records when the spec carries a ``[timeline]``.  No
-    ``.npz`` is opened and the cache counters stay untouched; stale
-    manifests are reconciled against the store (and republished healed)
-    as a side effect, so a deleted artifact shows up as pending at once.
+    ``temporal`` records when the spec carries a ``[timeline]``.  A point
+    counts as done when its ``.npz`` exists; nothing is opened or written,
+    and the cache counters stay untouched.
     """
     for localizer, group_size, session in spec.sessions(store=store):
         label = f"m={group_size} localizer={localizer}"
@@ -757,24 +757,16 @@ def _grid_progress(spec, store, points):
 
 
 def _sweep_status(spec, store, points) -> int:
-    """The ``sweep --status`` mode: manifest-backed progress, no compute."""
-    total_done = total_points = total_healed = 0
+    """The ``sweep --status`` mode: progress read from the store, no compute."""
+    total_done = total_points = 0
     for label, category, progress in _grid_progress(spec, store, points):
-        healed = f", {progress.healed} healed" if progress.healed else ""
         print(
             f"status {label} {category}: "
-            f"{progress.done}/{progress.total} point(s) done{healed}"
+            f"{progress.done}/{progress.total} point(s) done"
         )
         total_done += progress.done
         total_points += progress.total
-        total_healed += progress.healed
-    suffix = (
-        f" ({total_healed} stale manifest entr"
-        f"{'y' if total_healed == 1 else 'ies'} healed)"
-        if total_healed
-        else ""
-    )
-    print(f"status: {total_done}/{total_points} point(s) done{suffix}")
+    print(f"status: {total_done}/{total_points} point(s) done")
     return 0
 
 

@@ -14,7 +14,7 @@ The package has three layers:
   (detection latency, time to first false positive, detection-rate
   drift).  The runner sits on the sweep's store loop
   (:class:`~repro.experiments.sweep.CachedGrid`), so temporal grids cache,
-  fan out, shard, publish manifests and report progress like static ones.
+  fan out, shard and report progress like static ones.
 
 Entry point: :meth:`LadSession.temporal
 <repro.experiments.session.LadSession.temporal>` or a scenario spec with

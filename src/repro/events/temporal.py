@@ -650,10 +650,9 @@ class TemporalRunner(CachedGrid):
     :class:`~repro.experiments.sweep.SweepRunner`, on the same
     :class:`~repro.experiments.sweep.CachedGrid` store loop: store
     category ``"temporal"`` keyed by :meth:`LadSession.temporal_key`, the
-    same warm/cold partition, manifest, ``shard=`` slices and
-    :meth:`progress`, the same worker pool with the bit-identical serial
-    fallback, and the same streaming iteration order.  Obtained via
-    :meth:`LadSession.temporal`.
+    same warm/cold partition, ``shard=`` slices and :meth:`progress`, the
+    same worker pool with the bit-identical serial fallback, and the same
+    streaming iteration order.  Obtained via :meth:`LadSession.temporal`.
     """
 
     category = "temporal"

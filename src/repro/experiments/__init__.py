@@ -8,10 +8,11 @@ TOML/JSON-serialisable description of a sweep that compiles onto the
 session's :class:`~repro.experiments.sweep.SweepRunner`; and
 :class:`~repro.experiments.store.ArtifactStore` persists trained state so
 repeated sweeps skip the training pass.  The
-:mod:`repro.experiments.figures` sub-package contains one module per figure
-of the paper (Figures 4–9), each exposing a declarative ``spec()`` plus a
-``run()`` function with parameters matching the paper's, scaled down by a
-``scale`` factor for quick benchmark runs.
+:mod:`repro.experiments.figures` sub-package registers one declarative
+spec builder per figure in ``FIGURE_SPECS`` (the paper's Figures 4–9,
+plus this reproduction's figures L, M and T), with parameters matching the
+paper's, scaled down by a ``scale`` factor for quick benchmark runs;
+:func:`~repro.experiments.figures.run_figure_spec` renders any of them.
 """
 
 from repro.experiments.config import SimulationConfig
@@ -20,9 +21,9 @@ from repro.experiments.scenario import ScenarioSpec
 from repro.experiments.store import ArtifactStore, fingerprint_key
 from repro.experiments.results import SeriesResult, PanelResult, FigureResult
 from repro.experiments.reporting import format_figure, format_panel
-from repro.experiments.manifest import SweepManifest, SweepProgress
 from repro.experiments.sweep import (
     SweepPoint,
+    SweepProgress,
     SweepRunner,
     shard_of_point,
     shard_points,
@@ -40,7 +41,6 @@ __all__ = [
     "FigureResult",
     "SweepPoint",
     "SweepRunner",
-    "SweepManifest",
     "SweepProgress",
     "shard_of_point",
     "shard_points",

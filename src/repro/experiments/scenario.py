@@ -166,8 +166,9 @@ class ScenarioSpec:
     def points(self) -> List[SweepPoint]:
         """The spec's full grid, compiled for the sweep and temporal runners.
 
-        A fleet slice is a runner's ``shard=`` argument, not a smaller grid:
-        the runners' manifests always cover the full grid.
+        A fleet slice is a runner's ``shard=`` argument, not a smaller grid,
+        so ``progress`` and the finishing-shard check always count the full
+        grid.
         """
         return SweepRunner.grid(
             self.metrics, self.attacks, self.degrees, self.fractions

@@ -417,7 +417,7 @@ class LadSession:
         """Content keys of a whole grid of sweep points, in grid order.
 
         One :meth:`attacked_scores_key` per point — the sweep runner, the
-        manifest progress pre-scan and the finishing-shard completeness
+        ``--status`` progress count and the finishing-shard completeness
         check all derive point identity through this single path.
         """
         return [

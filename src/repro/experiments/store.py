@@ -12,8 +12,9 @@ files.  Keys are SHA-256 hashes of a canonical JSON rendering of the
 fingerprint dictionary describing how an artifact was produced; values are
 named numpy arrays.  :class:`~repro.experiments.session.LadSession` wires
 it into its benign-score, victim-sample and per-point attacked-score
-caches, the sweep and temporal runners keep their per-point records and
-grid manifests in it, and the CLI exposes it as ``--cache-dir``.
+caches, the sweep and temporal runners keep their per-point records in it
+(a record's presence is also its point's only progress mark), and the CLI
+exposes it as ``--cache-dir``.
 
 On disk the layout is one directory per category::
 
@@ -21,7 +22,6 @@ On disk the layout is one directory per category::
     <root>/victims/<key>.npz           victims' honest observations
     <root>/attacked_scores/<key>.npz   attacked scores of one sweep point
     <root>/temporal/<key>.npz          per-epoch record of one temporal point
-    <root>/manifest/<key>.json         progress manifest of one grid category
 
 Keys change whenever any fingerprinted input changes (deployment geometry,
 seed, sample sizes, component implementations, attack parameters), so
@@ -189,60 +189,6 @@ class ArtifactStore:
         try:
             with os.fdopen(fd, "wb") as handle:
                 np.savez(handle, **arrays)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except FileNotFoundError:
-                pass
-            raise
-        return path
-
-    # -- advisory JSON sidecars --------------------------------------------
-    #
-    # Small JSON artifacts (sweep manifests) living next to the ``.npz``
-    # categories.  They are advisory metadata, not cached computation: their
-    # I/O deliberately never touches the hit/miss counters, so progress
-    # pre-scans cannot perturb the cache accounting that tests and operators
-    # assert on.
-
-    def json_path_for(self, category: str, key: str) -> Path:
-        """Filesystem path of the JSON sidecar for ``(category, key)``."""
-        return self._root / category / f"{key}.json"
-
-    def load_json(self, category: str, key: str) -> Optional[dict]:
-        """The stored JSON payload, or ``None`` when absent or unreadable.
-
-        A corrupt sidecar is quarantined (renamed to ``.json.corrupt``) and
-        treated as absent — advisory metadata is always rebuildable from the
-        ``.npz`` artifacts, which stay the source of truth.
-        """
-        path = self.json_path_for(category, key)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            self._quarantine(path)
-            return None
-        return payload if isinstance(payload, dict) else None
-
-    def save_json(self, category: str, key: str, payload: Mapping) -> Path:
-        """Persist a JSON payload under ``(category, key)`` atomically.
-
-        Same tempfile + rename discipline as :meth:`save`: a reader never
-        sees a torn file, and concurrent writers race to publish whole
-        documents (last rename wins).
-        """
-        path = self.json_path_for(category, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:12]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
             os.replace(tmp_name, path)
         except BaseException:
             try:

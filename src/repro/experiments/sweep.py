@@ -34,7 +34,8 @@ mid-sweep.
 (category ``attacked_scores``) and the temporal runner
 (:mod:`repro.events.temporal`, category ``temporal``) each name their
 category and supply per-point keys and computations, and inherit the
-warm/cold partition, the manifest, ``shard=`` and :meth:`~CachedGrid.progress`.
+warm/cold partition, ``shard=`` and :meth:`~CachedGrid.progress`.  A
+point's ``.npz`` in the store is its only progress record.
 
 :func:`fan_out` is that pool-with-serial-fallback, and the only process
 pool of the package: the sweep's cold points, the temporal runner's
@@ -78,7 +79,6 @@ from repro.core.evaluation import (
 )
 from repro.core.metrics import AnomalyMetric, resolve_metric
 from repro.core.roc import RocCurve, compute_roc
-from repro.experiments.manifest import SweepManifest, SweepProgress
 from repro.utils.rng import RandomState
 
 if TYPE_CHECKING:  # pragma: no cover - imported for type checkers only
@@ -88,6 +88,7 @@ __all__ = [
     "CachedGrid",
     "LocalizerModalities",
     "SweepPoint",
+    "SweepProgress",
     "SweepRunner",
     "attack_stream_name",
     "fan_out",
@@ -149,16 +150,6 @@ def shard_of_point(point: SweepPoint, shard_count: int) -> int:
     return int.from_bytes(digest[:8], "big") % count
 
 
-def _validate_shard(shard: Tuple[int, int]) -> Tuple[int, int]:
-    """Normalise and validate an ``(index, count)`` shard selector."""
-    index, count = int(shard[0]), int(shard[1])
-    if count < 1:
-        raise ValueError("shard count must be >= 1")
-    if not 0 <= index < count:
-        raise ValueError(f"shard index must be in [0, {count}), got {index}")
-    return index, count
-
-
 def shard_points(
     points: Iterable[SweepPoint], shard_index: int, shard_count: int
 ) -> List[SweepPoint]:
@@ -169,7 +160,11 @@ def shard_points(
     their union is exactly the full grid — regardless of grid ordering,
     re-runs, or which host evaluates the assignment.
     """
-    index, count = _validate_shard((shard_index, shard_count))
+    index, count = int(shard_index), int(shard_count)
+    if count < 1:
+        raise ValueError("shard count must be >= 1")
+    if not 0 <= index < count:
+        raise ValueError(f"shard index must be in [0, {count}), got {index}")
     return [p for p in points if shard_of_point(p, count) == index]
 
 
@@ -350,15 +345,29 @@ def _score_point(point: SweepPoint) -> np.ndarray:
     )
 
 
+@dataclass(frozen=True)
+class SweepProgress:
+    """How many points of a grid have their artifact in the store."""
+
+    total: int
+    done: int
+
+    @property
+    def remaining(self) -> int:
+        """Points still to compute."""
+        return self.total - self.done
+
+
 class CachedGrid:
     """A grid of sweep points whose per-point arrays persist in the session store.
 
     The one store loop under :class:`SweepRunner` (category
     ``"attacked_scores"``) and
     :class:`~repro.events.temporal.TemporalRunner` (category
-    ``"temporal"``).  A subclass names its :attr:`category` and supplies
-    three hooks, each giving the named arrays the store persists for a
-    point:
+    ``"temporal"``).  A point is done once its ``.npz`` is in the store;
+    nothing else records progress.  A subclass names its :attr:`category`
+    and supplies three hooks, each giving the named arrays the store
+    persists for a point:
 
     * ``keys(points)`` — the points' store keys, in grid order;
     * ``_compute(point)`` — one point, computed in-process;
@@ -391,30 +400,19 @@ class CachedGrid:
         )
 
     def progress(self, points: Sequence[SweepPoint]) -> SweepProgress:
-        """Manifest-backed progress of this category over *points*.
+        """How many of *points* have this category's artifact in the store.
 
-        Loads the grid's manifest (merging any on-disk copy another shard
-        published), reconciles it against the store — the ``.npz``
-        artifacts stay the source of truth, so phantom "done" entries whose
-        artifact vanished are healed back to pending — republishes the
-        healed manifest, and returns the counts.  Never opens an ``.npz``
-        and never touches the store's hit/miss counters.
+        Derives each point's key and checks that its ``.npz`` exists:
+        nothing is opened or written, and the store's hit/miss counters
+        stay untouched.
         """
-        points = list(points)
         store = self._session.store
         if store is None:
             raise ValueError("grid progress requires a session artifact store")
-        manifest = SweepManifest.for_points(points, self.keys(points))
-        disk = SweepManifest.load(store, manifest.key)
-        if disk is not None:
-            manifest.absorb_done(disk)
-        healed = manifest.reconcile(store, self.category)
-        manifest.publish(store)
+        keys = self.keys(points)
         return SweepProgress(
-            total=manifest.total,
-            done=manifest.done_count,
-            healed=healed,
-            key=manifest.key,
+            total=len(keys),
+            done=sum(store.contains(self.category, key) for key in keys),
         )
 
     def _iter_arrays(
@@ -425,63 +423,35 @@ class CachedGrid:
     ) -> Iterator[Tuple[SweepPoint, Dict[str, np.ndarray]]]:
         """Yield ``(point, arrays)`` in grid order: warm from disk, cold computed.
 
-        With a session store, the selected points are probed first —
-        existence checks only, so the generator stays O(1) in memory for
-        arbitrarily long resumed grids — and the manifest of the full grid
-        is published.  The cold remainder goes through :meth:`_iter_cold`;
-        each cold result is saved atomically and recorded done the moment
-        it arrives.  A warm artifact that vanished or was corrupt since the
-        probe (quarantined by the failed load) is recomputed inline.
-
         *shard* restricts the iteration to one deterministic slice of the
-        grid (``(index, count)``, see :func:`shard_points`) while the
-        manifest still covers the *full* grid, so several hosts pointing
-        at the same store converge on one shared progress record.
+        grid (``(index, count)``, see :func:`shard_points`).  With a
+        session store, the slice's points are probed first — existence
+        checks only, so the generator stays O(1) in memory for arbitrarily
+        long resumed grids, and a miss is counted only for a point this run
+        computes.  The cold remainder goes through :meth:`_iter_cold`; each
+        cold result is saved atomically the moment it arrives.  A warm
+        artifact that vanished or was corrupt since the probe (quarantined
+        by the failed load) is recomputed inline.
         """
-        points = list(points)
+        points = list(points) if shard is None else shard_points(points, *shard)
         store = self._session.store
-        selected = list(range(len(points)))
-        if shard is not None:
-            index, count = _validate_shard(shard)
-            selected = [
-                i for i, p in enumerate(points) if shard_of_point(p, count) == index
-            ]
-        keys: List[Optional[str]] = [None] * len(points)
-        warm_indices: set = set()
-        manifest: Optional[SweepManifest] = None
-        if store is not None:
-            selected_set = set(selected)
-            done_keys = []
-            keys = self.keys(points)
-            for i, key in enumerate(keys):
-                if i in selected_set:
-                    # Misses are only counted for points this run will have
-                    # to compute and publish — our own slice.
-                    if store.probe(self.category, key):
-                        warm_indices.add(i)
-                        done_keys.append(key)
-                elif store.contains(self.category, key):
-                    done_keys.append(key)
-            # The scan above checked every point against the store, so the
-            # fresh manifest *is* the reconciled truth at this instant —
-            # merging the disk copy could only resurrect phantom "done"s.
-            # Publishing it heals a stale manifest as a side effect.
-            manifest = SweepManifest.for_points(points, keys, done=done_keys)
-            manifest.publish(store)
-        cold = self._iter_cold([points[i] for i in selected if i not in warm_indices])
-        for i in selected:
-            if i in warm_indices:
-                arrays = store.load(self.category, keys[i])
+        if store is None:
+            yield from zip(points, self._iter_cold(points))
+            return
+        keys = self.keys(points)
+        warm = [store.probe(self.category, key) for key in keys]
+        cold = self._iter_cold([p for p, hit in zip(points, warm) if not hit])
+        for point, key, hit in zip(points, keys, warm):
+            if hit:
+                arrays = store.load(self.category, key)
                 if arrays is not None:
-                    yield points[i], arrays
+                    yield point, arrays
                     continue
-                arrays = self._compute(points[i])
+                arrays = self._compute(point)
             else:
                 arrays = next(cold)
-            if manifest is not None:
-                store.save(self.category, keys[i], **arrays)
-                manifest.record_done(store, keys[i])
-            yield points[i], arrays
+            store.save(self.category, key, **arrays)
+            yield point, arrays
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

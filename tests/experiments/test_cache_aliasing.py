@@ -6,14 +6,18 @@ tests pin the guarantee the beacon work introduced: two sessions differing
 only in their localizer (or beacon layout) produce disjoint artifact keys
 and a sweep under one scheme never consumes another scheme's cached scores
 — while a repeated sweep of the *same* beacon scheme is served entirely
-from cache, bit-identical to the cold run.
+from cache, bit-identical to the cold run.  The fingerprint audit at the
+end pins, field by field, which keys every config input reaches.
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.backend import BackendSpec
+from repro.events import EventSpec, TimelineSpec
 from repro.experiments.config import SimulationConfig
 from repro.experiments.scenario import ScenarioSpec
 from repro.experiments.session import LadSession
@@ -237,3 +241,113 @@ class TestModalityMatrixScenario:
         # ...while the same scheme re-run is a pure cache read.
         assert warm_store.misses == 0
         assert warm == cold
+
+
+#: The audit's tiny beaconless config; each row changes one field of it.
+_AUDIT_CONFIG = SimulationConfig(
+    group_size=40,
+    num_training_samples=20,
+    training_samples_per_network=10,
+    num_victims=20,
+    victims_per_network=10,
+    gz_omega=300,
+    seed=90210,
+)
+
+#: The audited point (diff, dec_bounded, D = 80, x = 0.1) and its timeline.
+_AUDIT_POINT = {"degree_of_damage": 80.0, "compromised_fraction": 0.1}
+_AUDIT_TIMELINE = TimelineSpec(
+    epochs=3, events=(EventSpec(kind="attack", action="on", at=(1.0,)),)
+)
+
+_ALL_KEYS = {"benign", "victims", "attacked", "temporal"}
+_SCORED_KEYS = {"benign", "attacked", "temporal"}
+_VICTIM_KEYS = {"victims", "attacked", "temporal"}
+
+#: Every ``SimulationConfig`` field: a changed value, and the keys that
+#: change with it under the beaconless localizer.
+_FIELD_TABLE = {
+    "group_size": (41, _ALL_KEYS),
+    "radio_range": (101.0, _ALL_KEYS),
+    "sigma": (51.0, _ALL_KEYS),
+    "grid_rows": (9, _ALL_KEYS),
+    "grid_cols": (9, _ALL_KEYS),
+    "region_size": (999.0, _ALL_KEYS),
+    "seed": (1, _ALL_KEYS),
+    "num_training_samples": (21, {"benign"}),
+    "training_samples_per_network": (11, {"benign"}),
+    "num_victims": (21, _VICTIM_KEYS),
+    "victims_per_network": (11, _VICTIM_KEYS),
+    "localization_resolution": (4.0, _SCORED_KEYS),
+    "gz_omega": (301, _SCORED_KEYS),
+    "beacons": (BeaconSpec(count=9), set()),
+    "backend": (BackendSpec("numpy"), set()),
+}
+
+
+def _audit_keys(config, *, localizer="beaconless", timeline=_AUDIT_TIMELINE):
+    """The four store keys the audit tracks, for one config."""
+    session = LadSession(config, localizer=localizer)
+    return {
+        "benign": session.benign_scores_key("diff"),
+        "victims": fingerprint_key(session.victims_fingerprint()),
+        "attacked": session.attacked_scores_key(
+            "diff", "dec_bounded", **_AUDIT_POINT
+        ),
+        "temporal": session.temporal_key(
+            "diff", "dec_bounded", timeline=timeline, **_AUDIT_POINT
+        ),
+    }
+
+
+def _moved(before, after):
+    """Names of the audited keys that differ between two key sets."""
+    return {name for name in before if before[name] != after[name]}
+
+
+def _changed_keys(field, value, *, localizer):
+    """Names of the audited keys that move when *field* becomes *value*."""
+    changed = dataclasses.replace(_AUDIT_CONFIG, **{field: value})
+    return _moved(
+        _audit_keys(_AUDIT_CONFIG, localizer=localizer),
+        _audit_keys(changed, localizer=localizer),
+    )
+
+
+class TestFingerprintAudit:
+    """Which store keys each input reaches.
+
+    A point's store key is both its cache identity and its only progress
+    record, so each input must move exactly the keys of the artifacts it
+    shapes: benign scores, victims, attacked scores and temporal records.
+    """
+
+    def test_every_config_field_has_one_row(self):
+        fields = {field.name for field in dataclasses.fields(SimulationConfig)}
+        assert fields == set(_FIELD_TABLE)
+
+    @pytest.mark.parametrize(
+        "field", [field.name for field in dataclasses.fields(SimulationConfig)]
+    )
+    def test_beaconless_field_changes_exactly_its_keys(self, field):
+        value, expected = _FIELD_TABLE[field]
+        assert _changed_keys(field, value, localizer="beaconless") == expected
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("beacons", BeaconSpec(count=9), _SCORED_KEYS),
+            ("localization_resolution", 4.0, set()),
+        ],
+        ids=["beacons", "localization_resolution"],
+    )
+    def test_centroid_field_changes_exactly_its_keys(self, field, value, expected):
+        assert _changed_keys(field, value, localizer="centroid") == expected
+
+    def test_timeline_event_changes_only_the_temporal_key(self):
+        later = TimelineSpec(
+            epochs=3, events=(EventSpec(kind="attack", action="on", at=(2.0,)),)
+        )
+        before = _audit_keys(_AUDIT_CONFIG)
+        after = _audit_keys(_AUDIT_CONFIG, timeline=later)
+        assert _moved(before, after) == {"temporal"}

@@ -7,7 +7,8 @@ hosts, re-runs and grid orderings — and (b) every execution topology
 resumed shards) publishes bit-identical attacked scores and temporal
 records.  Both halves are pinned here: the partition properties with
 hypothesis over random grids, the topology invariance end to end on a
-small spec.
+small spec.  The progress the shards report is the store's own: a point
+is done exactly when its ``.npz`` exists.
 """
 
 import numpy as np
@@ -146,11 +147,19 @@ _TIMELINE = TimelineSpec(
 )
 
 
+def _runner(session, category):
+    """The runner of *session* that writes the store category *category*."""
+    if category == "attacked_scores":
+        return session.sweep()
+    return session.temporal(_TIMELINE)
+
+
 def _stream(session, category, points, **kwargs):
     """The streaming results of the runner writing *category*."""
+    runner = _runner(session, category)
     if category == "attacked_scores":
-        return session.sweep().iter_attacked_scores(points, **kwargs)
-    return session.temporal(_TIMELINE).iter_outcomes(points, **kwargs)
+        return runner.iter_attacked_scores(points, **kwargs)
+    return runner.iter_outcomes(points, **kwargs)
 
 
 def _assert_same(merged, serial):
@@ -268,3 +277,48 @@ class TestTopologyInvariance:
         assert warm.store.miss_counts["attacked_scores"] == 0
         for point in points:
             np.testing.assert_array_equal(merged[point], serial[point])
+
+
+@pytest.mark.parametrize("category", ["attacked_scores", "temporal"])
+class TestStoreProgress:
+    """A point is done exactly when its ``.npz`` is in the store."""
+
+    def test_progress_without_store_is_rejected(self, tiny_spec, category):
+        runner = _runner(tiny_spec.session(), category)
+        with pytest.raises(ValueError, match="artifact store"):
+            runner.progress(tiny_spec.points())
+
+    def test_progress_counts_artifacts_without_touching_counters(
+        self, tiny_spec, tmp_path, category
+    ):
+        points = tiny_spec.points()
+        writer = tiny_spec.session(store=ArtifactStore(tmp_path))
+        dict(_stream(writer, category, points))
+
+        fresh = tiny_spec.session(store=ArtifactStore(tmp_path))
+        progress = _runner(fresh, category).progress(points)
+        assert (progress.total, progress.done) == (len(points), len(points))
+        assert progress.remaining == 0
+        assert fresh.store.stats() == {"hits": 0, "misses": 0}
+        assert not (tmp_path / "manifest").exists()
+
+    def test_deleted_artifact_reads_pending_and_resume_recomputes_it(
+        self, tiny_spec, tmp_path, category
+    ):
+        points = tiny_spec.points()
+        session = tiny_spec.session(store=ArtifactStore(tmp_path))
+        original = dict(_stream(session, category, points))
+        lost = _runner(session, category).keys(points)[1]
+        session.store.path_for(category, lost).unlink()
+
+        status = tiny_spec.session(store=ArtifactStore(tmp_path))
+        progress = _runner(status, category).progress(points)
+        assert (progress.done, progress.remaining) == (len(points) - 1, 1)
+
+        resumed = tiny_spec.session(store=ArtifactStore(tmp_path))
+        results = dict(_stream(resumed, category, points))
+        assert resumed.store.hit_counts[category] == len(points) - 1
+        assert resumed.store.miss_counts[category] == 1
+        for point in points:
+            _assert_same(results[point], original[point])
+        assert _runner(resumed, category).progress(points).remaining == 0

@@ -114,45 +114,6 @@ def _spam_npz(root, category, key, value, rounds):
         store.save(category, key, scores=payload)
 
 
-def _spam_json(root, category, key, value, rounds):
-    store = ArtifactStore(root)
-    payload = {"writer": value, "blob": [value] * 128}
-    for _ in range(rounds):
-        store.save_json(category, key, payload)
-
-
-class TestJsonSidecars:
-    def test_round_trip_and_missing(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        key = fingerprint_key({"m": 1})
-        assert store.load_json("manifest", key) is None
-        payload = {"version": 1, "points": [{"key": "a", "status": "done"}]}
-        path = store.save_json("manifest", key, payload)
-        assert path == store.json_path_for("manifest", key)
-        assert store.load_json("manifest", key) == payload
-        # Sidecar I/O is advisory: the cache counters never move.
-        assert store.stats() == {"hits": 0, "misses": 0}
-
-    def test_corrupt_sidecar_is_quarantined(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        key = fingerprint_key({"m": 2})
-        path = store.json_path_for("manifest", key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("{ this is not json")
-        assert store.load_json("manifest", key) is None
-        assert not path.exists()
-        assert path.with_name(path.name + ".corrupt").exists()
-        assert store.stats() == {"hits": 0, "misses": 0}
-
-    def test_non_mapping_document_reads_as_absent(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        key = fingerprint_key({"m": 3})
-        path = store.json_path_for("manifest", key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("[1, 2, 3]")
-        assert store.load_json("manifest", key) is None
-
-
 class TestCrossProcessPublish:
     """Two processes racing to publish the same key: readers must never
     see a torn document, and the race must leave no filesystem debris."""
@@ -202,38 +163,6 @@ class TestCrossProcessPublish:
         assert [p.name for p in category_dir.iterdir()] == [f"{key}.npz"]
         assert list(tmp_path.rglob("*.corrupt")) == []
         assert list(tmp_path.rglob("*.tmp")) == []
-
-    def test_racing_json_writers_never_expose_a_torn_sidecar(
-        self, tmp_path, fork
-    ):
-        key = fingerprint_key({"race": "json"})
-        writers = [
-            fork.Process(
-                target=_spam_json,
-                args=(tmp_path, "manifest", key, value, 200),
-            )
-            for value in ("a", "b")
-        ]
-        for writer in writers:
-            writer.start()
-        reader = ArtifactStore(tmp_path)
-        complete = {
-            value: {"writer": value, "blob": [value] * 128}
-            for value in ("a", "b")
-        }
-        try:
-            while any(writer.is_alive() for writer in writers):
-                payload = reader.load_json("manifest", key)
-                if payload is not None:
-                    assert payload in complete.values()
-        finally:
-            for writer in writers:
-                writer.join()
-        assert all(writer.exitcode == 0 for writer in writers)
-        assert reader.load_json("manifest", key) in complete.values()
-        category_dir = reader.json_path_for("manifest", key).parent
-        assert [p.name for p in category_dir.iterdir()] == [f"{key}.json"]
-        assert list(tmp_path.rglob("*.corrupt")) == []
 
 
 class TestTrainingSharesSessionKnowledge:

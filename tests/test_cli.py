@@ -393,9 +393,36 @@ class TestTemporalFleet:
     def test_status_counts_missing_temporal_records(self, capsys, half_fleet):
         assert main([*half_fleet, "--status"]) == 0
         out = capsys.readouterr().out
-        assert "status: 2/8 point(s) done (2 stale manifest entries healed)" in out
+        assert "status: 2/8 point(s) done\n" in out
         assert "attacked_scores: 2/4 point(s) done\n" in out
-        assert "temporal: 0/4 point(s) done, 2 healed\n" in out
+        assert "temporal: 0/4 point(s) done\n" in out
+
+    @pytest.mark.parametrize("state", ["cold", "half"])
+    def test_status_writes_nothing(self, capsys, tmp_path, request, state):
+        """``--status`` only reads the store: a cache dir that does not
+        exist stays absent, and a half-filled one keeps every file's size
+        and mtime."""
+        cache = tmp_path / "cache"
+        if state == "half":
+            args = request.getfixturevalue("half_fleet")
+        else:
+            spec_path = tmp_path / "fleet.toml"
+            spec_path.write_text(TEMPORAL_FLEET_SPEC)
+            args = ["sweep", str(spec_path), "--cache-dir", str(cache)]
+
+        def snapshot():
+            return {
+                path: (path.stat().st_size, path.stat().st_mtime_ns)
+                for path in cache.rglob("*")
+            }
+
+        before = snapshot()
+        assert main([*args, "--status"]) == 0
+        if state == "cold":
+            assert not cache.exists()
+        assert snapshot() == before
+        done = {"cold": 0, "half": 2}[state]
+        assert f"status: {done}/8 point(s) done\n" in capsys.readouterr().out
 
     def test_finishing_shard_waits_for_missing_temporal_records(
         self, capsys, tmp_path, half_fleet
