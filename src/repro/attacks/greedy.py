@@ -41,9 +41,8 @@ Probability score is therefore unchanged, and so are the keys of the
 cached ``attacked_scores`` and ``temporal`` artifacts, which store scores
 rather than tainted observations.
 
-The tainted observations are real-valued by default (the paper's greedy sets
-``o_i = µ_i`` exactly); ``integer_mode=True`` restricts the adversary to
-whole-node manipulations.
+The tainted observations are real-valued: the paper's greedy sets
+``o_i = µ_i`` exactly.
 """
 
 from __future__ import annotations
@@ -127,14 +126,10 @@ class GreedyMetricMinimizer:
         instance).
     attack_class:
         ``"dec_bounded"`` or ``"dec_only"`` (name or instance).
-    integer_mode:
-        Restrict manipulations to whole nodes.  Default ``False`` (the paper
-        lets the adversary hit ``µ_i`` exactly).
     """
 
     metric: Union[str, AnomalyMetric] = "diff"
     attack_class: Union[str, AttackClass] = "dec_bounded"
-    integer_mode: bool = False
 
     def __post_init__(self) -> None:
         self.metric = resolve_metric(self.metric)
@@ -198,20 +193,14 @@ class GreedyMetricMinimizer:
         x = np.array([float(int(b)) for b in budgets], dtype=np.float64)
 
         if isinstance(self.metric, DiffMetric):
-            tainted = self._taint_diff(honest, expected, x, group_size)
-        elif isinstance(self.metric, AddAllMetric):
-            tainted = self._taint_add_all(honest, expected, x)
-        elif isinstance(self.metric, ProbabilityMetric):
+            return self._taint_diff(honest, expected, x, group_size)
+        if isinstance(self.metric, AddAllMetric):
+            return self._taint_add_all(honest, expected, x)
+        if isinstance(self.metric, ProbabilityMetric):
             if group_size is None:
                 raise ValueError("group_size is required for the Probability metric")
-            tainted = self._taint_probability(honest, expected, x, int(group_size))
-        else:  # pragma: no cover - future metrics fall back to "no taint"
-            tainted = honest.copy()
-
-        if self.integer_mode:
-            for row in range(honest.shape[0]):
-                tainted[row] = self._round_feasible(honest[row], tainted[row], x[row])
-        return tainted
+            return self._taint_probability(honest, expected, x, int(group_size))
+        return honest.copy()  # pragma: no cover - future metrics: no taint
 
     # -- per-metric strategies ------------------------------------------------
 
@@ -278,29 +267,6 @@ class GreedyMetricMinimizer:
             rows = rows[remaining[rows] > 0]
         return o[0] if single else o
 
-    # -- helpers ---------------------------------------------------------------
-
-    @staticmethod
-    def _round_feasible(a: np.ndarray, tainted: np.ndarray, x: float) -> np.ndarray:
-        """Round a real-valued taint to whole nodes without exceeding the budget."""
-        rounded = np.round(tainted)
-        decreases = np.clip(a - rounded, 0.0, None)
-        excess = decreases.sum() - x
-        if excess <= 0:
-            return rounded
-        # Give back whole-node decreases, largest first, until the budget
-        # constraint holds again.  The stable sort makes equal decreases
-        # give back from the highest group index down.
-        order = np.argsort(decreases, kind="stable")
-        for idx in order[::-1]:
-            while decreases[idx] >= 1.0 and excess > 0:
-                rounded[idx] += 1.0
-                decreases[idx] -= 1.0
-                excess -= 1.0
-            if excess <= 0:
-                break
-        return rounded
-
 
 def taint_observation(
     honest_observation: np.ndarray,
@@ -310,12 +276,9 @@ def taint_observation(
     metric: Union[str, AnomalyMetric] = "diff",
     attack_class: Union[str, AttackClass] = "dec_bounded",
     group_size: Optional[int] = None,
-    integer_mode: bool = False,
 ) -> np.ndarray:
     """Functional one-shot wrapper around :class:`GreedyMetricMinimizer`."""
-    adversary = GreedyMetricMinimizer(
-        metric=metric, attack_class=attack_class, integer_mode=integer_mode
-    )
+    adversary = GreedyMetricMinimizer(metric=metric, attack_class=attack_class)
     return adversary.taint(
         honest_observation, expected_observation, budget, group_size=group_size
     )

@@ -58,7 +58,7 @@ BACKENDS = Registry("backend")
 #: to the dense matmul path.  This is the measured crossover for numpy on
 #: CPU; device backends (where the dense matmul is comparatively cheaper)
 #: override :attr:`ArrayBackend.dense_fallback_fraction` with their own
-#: value, and :class:`BackendSpec` makes it a per-run knob.
+#: measured value.
 DEFAULT_DENSE_FALLBACK_FRACTION = 0.5
 
 
@@ -284,15 +284,11 @@ class BackendSpec:
         ``"float32"``).  Results are always returned as float64; float32
         trades accuracy for throughput on devices where float64 is slow
         and is rejected by numpy-exact backends.
-    dense_fallback_fraction:
-        Optional override of the pruned-kernel dense-fallback crossover
-        (``None`` = the backend's own default).
     """
 
     name: str = "numpy"
     device: str = "auto"
     dtype: str = "float64"
-    dense_fallback_fraction: Optional[float] = None
 
     def __post_init__(self) -> None:
         set_ = object.__setattr__
@@ -304,21 +300,10 @@ class BackendSpec:
                 f"unsupported backend dtype {self.dtype!r}; "
                 "choose 'float64' or 'float32'"
             )
-        if self.dense_fallback_fraction is not None:
-            fraction = float(self.dense_fallback_fraction)
-            if not 0.0 < fraction <= 1.0:
-                raise ValueError(
-                    "dense_fallback_fraction must be in (0, 1]"
-                )
-            set_(self, "dense_fallback_fraction", fraction)
 
     def build(self) -> ArrayBackend:
         """Instantiate the selected backend (raises when unavailable)."""
-        cls = BACKENDS.get(self.name)
-        backend = cls(device=self.device, dtype=self.dtype)
-        if self.dense_fallback_fraction is not None:
-            backend.dense_fallback_fraction = self.dense_fallback_fraction
-        return backend
+        return BACKENDS.get(self.name)(device=self.device, dtype=self.dtype)
 
     def with_device(self, device: str) -> "BackendSpec":
         """A copy of the spec pinned to a different device."""
@@ -328,20 +313,13 @@ class BackendSpec:
 
     def as_dict(self) -> Dict[str, Any]:
         """Plain-dict view (TOML/JSON-ready; lossless round trip)."""
-        data: Dict[str, Any] = {
-            "name": self.name,
-            "device": self.device,
-            "dtype": self.dtype,
-        }
-        if self.dense_fallback_fraction is not None:
-            data["dense_fallback_fraction"] = self.dense_fallback_fraction
-        return data
+        return {"name": self.name, "device": self.device, "dtype": self.dtype}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "BackendSpec":
         """Rebuild a spec from its :meth:`as_dict` form (typos raise)."""
         data = dict(data)
-        known = {"name", "device", "dtype", "dense_fallback_fraction"}
+        known = {"name", "device", "dtype"}
         unknown = set(data) - known
         if unknown:
             raise ValueError(

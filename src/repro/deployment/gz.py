@@ -29,7 +29,9 @@ Four implementations are provided:
 
 :class:`GzTable` is the table-lookup approximation of Section 3.3: ``g`` is
 pre-computed at ``ω + 1`` points and queries are answered by linear
-interpolation in constant time.
+interpolation in constant time.  It is the one ``g`` evaluator: the
+localization kernels, threshold training and every metric's ``µ`` read
+the same bits for the same distance.
 """
 
 from __future__ import annotations
@@ -224,8 +226,9 @@ class GzTable:
     The range ``[0, z_max]`` is divided into ``ω`` equal sub-ranges; ``g`` is
     pre-computed at the ``ω + 1`` dividing points with
     :func:`gz_quadrature`, and queries interpolate linearly between the two
-    surrounding knots.  Distances beyond ``z_max`` clamp to ``g(z_max)``
-    (which is chosen so that the value there is negligible).
+    surrounding knots, found by index arithmetic (the result is
+    ``np.interp``'s, bit for bit).  Distances beyond ``z_max`` clamp to
+    ``g(z_max)`` (which is chosen so that the value there is negligible).
 
     Parameters
     ----------
@@ -266,7 +269,6 @@ class GzTable:
             0.0,
             self._z_max,
             self._omega,
-            clamp=True,
         )
 
     # -- constructors ------------------------------------------------------
@@ -285,8 +287,8 @@ class GzTable:
         arrays of a trained table (e.g. through shared memory) and rebuild
         it without re-running the quadrature pass.  Lookups only ever touch
         the knot arrays, so the rebuilt table interpolates bit-identically
-        to the one the arrays came from.  ``float64`` inputs are wrapped
-        without copying, which keeps shared-memory views zero-copy.
+        to the one the arrays came from.  ``float64`` knot positions are
+        wrapped without copying, which keeps shared-memory views zero-copy.
         """
         table = cls.__new__(cls)
         table._radio_range = check_positive("radio_range", radio_range)
@@ -301,7 +303,7 @@ class GzTable:
         table._z_max = float(knots_arr[-1])
         if table._z_max <= 0:
             raise ValueError("z_max must be > 0")
-        table._table = LookupTable1D(knots_arr, values_arr, clamp=True)
+        table._table = LookupTable1D(knots_arr, values_arr)
         return table
 
     # -- properties --------------------------------------------------------
@@ -339,15 +341,6 @@ class GzTable:
         return np.clip(values, 0.0, 1.0) if not np.isscalar(values) else float(
             min(max(values, 0.0), 1.0)
         )
-
-    def fast_lookup(self, z: np.ndarray) -> np.ndarray:
-        """Vectorised ``g(z)`` via the table's uniform-grid fast path.
-
-        Used by the batched likelihood kernels on large distance arrays
-        (``z`` must be non-negative, which every distance matrix satisfies).
-        Agrees with :meth:`__call__` up to floating-point rounding.
-        """
-        return np.clip(self._table.fast_lookup(z), 0.0, 1.0)
 
     def max_abs_error(self, samples: int = 2000) -> float:
         """Maximum absolute error of the table against adaptive quadrature."""

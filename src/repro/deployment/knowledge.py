@@ -76,10 +76,6 @@ class DeploymentKnowledge:
         (the shared numpy reference), a registered backend name, a
         :class:`~repro.backend.BackendSpec`, or an
         :class:`~repro.backend.ArrayBackend` instance.
-    dense_fallback_fraction:
-        Optional override of the active-set fraction above which the
-        pruned kernels fall back to the dense path; defaults to the
-        backend's own crossover.
     """
 
     def __init__(
@@ -91,18 +87,11 @@ class DeploymentKnowledge:
         gz_table: Optional[GzTable] = None,
         omega: int = 1000,
         backend=None,
-        dense_fallback_fraction: Optional[float] = None,
     ):
         self._model = model
         self._group_size = check_int("group_size", group_size, minimum=1)
         self._radio_range = check_positive("radio_range", radio_range)
         self._backend = resolve_backend(backend)
-        if dense_fallback_fraction is None:
-            self._dense_fallback = float(self._backend.dense_fallback_fraction)
-        else:
-            self._dense_fallback = float(dense_fallback_fraction)
-            if not 0.0 < self._dense_fallback <= 1.0:
-                raise ValueError("dense_fallback_fraction must be in (0, 1]")
         if gz_table is None:
             sigma = getattr(model.distribution, "sigma", None)
             if sigma is None:
@@ -149,7 +138,6 @@ class DeploymentKnowledge:
             "radio_range": self._radio_range,
             "gz_radio_range": gz.radio_range,
             "gz_sigma": gz.sigma,
-            "dense_fallback_fraction": self._dense_fallback,
         }
         return arrays, skeleton
 
@@ -181,7 +169,6 @@ class DeploymentKnowledge:
             skeleton["radio_range"],
             gz_table=table,
             backend=backend,
-            dense_fallback_fraction=skeleton["dense_fallback_fraction"],
         )
 
     # -- properties --------------------------------------------------------
@@ -228,8 +215,12 @@ class DeploymentKnowledge:
 
     @property
     def dense_fallback_fraction(self) -> float:
-        """Active-set fraction above which pruned kernels go dense."""
-        return self._dense_fallback
+        """Active-set fraction above which pruned kernels go dense.
+
+        The backend's own measured crossover
+        (:attr:`~repro.backend.ArrayBackend.dense_fallback_fraction`).
+        """
+        return float(self._backend.dense_fallback_fraction)
 
     # -- active-group pruning ----------------------------------------------
 
@@ -308,28 +299,32 @@ class DeploymentKnowledge:
         near = self.active_groups(locations)
         observed = np.flatnonzero(np.any(observations != 0, axis=0))
         active = np.unique(np.concatenate([*near, observed]))
-        if active.size >= self._dense_fallback * self.n_groups:
+        if active.size >= self.dense_fallback_fraction * self.n_groups:
             return None
         return active
 
     # -- core computations -------------------------------------------------
 
-    def membership_probabilities(self, locations) -> np.ndarray:
+    def membership_probabilities(self, locations, groups=None) -> np.ndarray:
         """``g_i(θ)`` for each location ``θ`` and each group ``i``.
 
         Parameters
         ----------
         locations:
             A single point or an array of shape ``(k, 2)``.
+        groups:
+            Optional group indices restricting the columns (the pruned
+            kernels' active sets).  Distances and ``g`` are evaluated pair
+            by pair, so the result equals the same columns of the full
+            matrix bit for bit.
 
         Returns
         -------
-        Array of shape ``(k, n_groups)`` where entry ``[j, i]`` is the
-        probability that a given sensor from group ``i`` lands within radio
-        range of ``locations[j]``.
+        Array of shape ``(k, n_groups)`` (or ``(k, len(groups))``) where
+        entry ``[j, i]`` is the probability that a given sensor from group
+        ``i`` lands within radio range of ``locations[j]``.
         """
-        distances = self._model.distances_to_groups(as_points(locations))
-        return np.asarray(self._gz(distances), dtype=np.float64)
+        return self._gz(self._model.distances_to_groups(as_points(locations), groups))
 
     def expected_observation(self, locations) -> np.ndarray:
         """Expected observation ``µ_i = m · g_i(θ)`` (paper Eq. (2)).
@@ -369,18 +364,6 @@ class DeploymentKnowledge:
         probs = self.membership_probabilities(locations)
         log_pmf = binomial_log_pmf(obs[None, :], self._group_size, probs)
         return log_pmf.sum(axis=1)
-
-    def _membership_fast(self, locations, groups=None) -> np.ndarray:
-        """``g_i(θ)`` via the table's uniform-grid fast lookup.
-
-        Same values as :meth:`membership_probabilities` up to floating-point
-        rounding; used by the batched likelihood kernels where the table
-        lookup dominates the runtime.  *groups* restricts the columns to an
-        active subset (bit-identical to the same columns of the full
-        matrix).
-        """
-        distances = self._model.distances_to_groups(as_points(locations), groups)
-        return self._gz.fast_lookup(distances)
 
     def log_likelihood_batch(
         self, locations, observations, *, prune: bool = False
@@ -423,9 +406,9 @@ class DeploymentKnowledge:
         active = self._shared_active_set(locs, obs) if prune else None
         if active is not None:
             obs = obs[:, active]
-            probs = self._membership_fast(locs, active)
+            probs = self.membership_probabilities(locs, active)
         else:
-            probs = self._membership_fast(locs)
+            probs = self.membership_probabilities(locs)
         return self._binomial_batch(obs, *self._batch_terms(probs))
 
     def log_likelihood_lattice(self, lattice, covered, observations) -> np.ndarray:
@@ -447,7 +430,7 @@ class DeploymentKnowledge:
         if cached is None or cached[0] != key:
             terms = None
             if 3 * 8 * lattice.shape[0] * self.n_groups <= _CACHE_BUDGET_BYTES:
-                terms = self._batch_terms(self._membership_fast(lattice))
+                terms = self._batch_terms(self.membership_probabilities(lattice))
                 for term in terms:
                     term.flags.writeable = False
             cached = self._lattice_terms = (key, terms)
@@ -515,10 +498,9 @@ class DeploymentKnowledge:
         ``segment_counts[i]`` says how many of its rows belong to
         ``observations[i]``.  The returned flat array matches calling
         :meth:`log_likelihood` once per row on its block up to
-        floating-point rounding, at a fraction of the cost:
+        floating-point rounding (each pair's terms are added in a different
+        order; ``g`` is the same evaluator), at a fraction of the cost:
 
-        * the table lookup uses the uniform-grid fast path instead of a
-          binary search per element;
         * the observation-dependent ``gammaln`` terms and ``log p`` factors
           are only evaluated at the ``(candidate, group)`` pairs the row
           actually observed (``k_i > 0`` — a few percent of all pairs);
@@ -573,7 +555,7 @@ class DeploymentKnowledge:
         if rows_active is None:
             out = self._backend.segmented_loglik(
                 np.repeat(obs, counts, axis=0),
-                self._membership_fast(locs),
+                self.membership_probabilities(locs),
                 m,
                 reaches_one=reaches_one,
                 log_coefficients=binomial_log_coefficient,
@@ -596,7 +578,7 @@ class DeploymentKnowledge:
                 distances, k, cand = pairs
                 out = self._backend.sparse_segment_loglik(
                     k,
-                    self._gz.fast_lookup(distances),
+                    self._gz(distances),
                     m,
                     cand,
                     out.size,
@@ -731,7 +713,7 @@ class DeploymentKnowledge:
         kernels, with ``p`` from the chain on the correctly rounded
         ``√s``.
         """
-        p = self._gz.fast_lookup(np.sqrt(squared.astype(np.float64)))
+        p = self._gz(np.sqrt(squared.astype(np.float64)))
         with np.errstate(divide="ignore", invalid="ignore"):
             term = binomial_log_coefficient(k, float(self._group_size)) + k * np.log(p)
         return np.where(p <= 0, -np.inf, term)
@@ -742,9 +724,9 @@ class DeploymentKnowledge:
 
         ``S`` is the smallest integer with ``√S ≥`` :attr:`support_radius`
         (265,053 — 2.1 MB — at the paper's parameters).  Each entry runs
-        the chain of the dense kernel (``fast_lookup`` of the correctly
-        rounded ``√s``, then ``log(1 − p)``), so a gather returns the bits
-        the chain would.  Entries from ``S`` on are exact zeros: the build
+        the chain of the dense kernel (``g`` of the correctly rounded
+        ``√s``, then ``log(1 − p)``), so a gather returns the bits the
+        chain would.  Entries from ``S`` on are exact zeros: the build
         checks them up to two knots past the support radius, beyond which
         every lookup interpolates between knot values of at most
         ``2**-55``.  Built on first use; ``None`` when the table cannot
@@ -770,9 +752,7 @@ class DeploymentKnowledge:
         last = max(size, int(np.ceil(edge * edge)))
         if 8 * (last + 1) > _CACHE_BUDGET_BYTES:
             return None
-        table = np.log(
-            1.0 - self._gz.fast_lookup(np.sqrt(np.arange(last + 1, dtype=np.float64)))
-        )
+        table = np.log(1.0 - self._gz(np.sqrt(np.arange(last + 1, dtype=np.float64))))
         if np.any(table[size:] != 0.0):
             return None
         table = table[: size + 1].copy()
@@ -797,7 +777,7 @@ class DeploymentKnowledge:
             rows = np.repeat(np.arange(len(groups)), [g.size for g in groups])
             mask[rows, np.concatenate(groups)] = True
         n_pairs = int((mask.sum(axis=1) * counts).sum())
-        if n_pairs >= self._dense_fallback * int(counts.sum()) * self.n_groups:
+        if n_pairs >= self.dense_fallback_fraction * int(counts.sum()) * self.n_groups:
             return None
         return [np.flatnonzero(row) for row in mask]
 

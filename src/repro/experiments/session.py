@@ -224,7 +224,6 @@ class LadSession:
             self._knowledge = self._generator.knowledge(
                 omega=self.config.gz_omega,
                 backend=self._backend,
-                dense_fallback_fraction=self._backend_spec.dense_fallback_fraction,
             )
         return self._knowledge
 

@@ -59,8 +59,9 @@ vectorised engine instead of a Python-level loop:
   perturbed by kernel rounding).
 
 The per-row :meth:`_search` is kept as the reference implementation.  The
-batched kernels agree with it up to floating-point rounding (matrix
-products and the fast table lookup accumulate differently), which leaves
+batched kernels read the same ``g(z)`` evaluator and agree with it up to
+floating-point rounding (matrix products and the split binomial terms
+accumulate differently), which leaves
 the per-row argmax — and therefore the estimates — unchanged whenever
 candidate likelihoods are separated by more than accumulated rounding;
 distinct grid candidates of real observation vectors are separated by many

@@ -74,13 +74,11 @@ class NetworkGenerator:
         *,
         omega: int = 1000,
         backend=None,
-        dense_fallback_fraction: Optional[float] = None,
     ) -> DeploymentKnowledge:
         """The deployment knowledge matching the networks this generator makes.
 
-        *backend* and *dense_fallback_fraction* are forwarded to
-        :class:`DeploymentKnowledge` (``None`` keeps the numpy reference
-        backend and its crossover).
+        *backend* is forwarded to :class:`DeploymentKnowledge` (``None``
+        keeps the numpy reference backend).
         """
         return DeploymentKnowledge(
             self.model,
@@ -88,7 +86,6 @@ class NetworkGenerator:
             radio_range=self.radio.nominal_range,
             omega=omega,
             backend=backend,
-            dense_fallback_fraction=dense_fallback_fraction,
         )
 
 

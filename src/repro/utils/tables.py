@@ -5,12 +5,15 @@ expensive to evaluate on a sensor node and prescribes a table-lookup
 approximation: the range of ``z`` is divided into ``ω`` equal sub-ranges,
 ``g`` is pre-computed at the ``ω + 1`` dividing points, and queries are
 answered by linear interpolation in constant time.  :class:`LookupTable1D`
-implements exactly that access pattern (vectorised over query batches).
+implements exactly that access pattern (vectorised over query batches):
+the bracketing interval comes from index arithmetic, not a search, and
+the interpolation is ``np.interp``'s own, so every query returns the bits
+``np.interp`` returns on the clamped query.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -22,20 +25,30 @@ __all__ = ["LookupTable1D"]
 class LookupTable1D:
     """Piecewise-linear approximation of a scalar function on ``[lo, hi]``.
 
+    Queries outside ``[lo, hi]`` clamp to the boundary values.  A query
+    ``z`` reads the interval ``j = floor((z − lo) / Δ)``, with ``Δ`` the
+    mean knot spacing, corrected by at most one step each way so that
+    ``xs[j] ≤ z < xs[j + 1]``; it then returns
+    ``slope[j] · (z − xs[j]) + ys[j]`` with ``np.interp``'s slopes.  The
+    result equals ``np.interp(np.clip(z, lo, hi), xs, ys)`` bit for bit,
+    NaN and ±inf queries included.
+
     Parameters
     ----------
     xs:
-        Monotonically increasing knot positions (``ω + 1`` points).
+        Evenly spaced, increasing knot positions (``ω + 1`` points).
+        Knots that one correction step cannot bracket raise
+        ``ValueError``.
     ys:
-        Function values at the knots.
-    clamp:
-        When ``True`` (default) queries outside ``[lo, hi]`` are clamped to
-        the boundary values; when ``False`` they are linearly extrapolated.
+        Finite function values at the knots (``-0.0`` is stored as
+        ``+0.0``).
     """
 
-    def __init__(self, xs: np.ndarray, ys: np.ndarray, *, clamp: bool = True):
+    def __init__(self, xs: np.ndarray, ys: np.ndarray):
         xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
+        # ``slope · 0 + y`` at a knot cannot return a stored -0.0, which
+        # np.interp's knot branch would; +0.0 compares equal to it.
+        ys = np.asarray(ys, dtype=np.float64) + 0.0
         if xs.ndim != 1 or ys.ndim != 1:
             raise ValueError("xs and ys must be one-dimensional")
         if xs.size != ys.size:
@@ -44,15 +57,23 @@ class LookupTable1D:
             raise ValueError("a lookup table needs at least two knots")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("xs must be strictly increasing")
+        with np.errstate(over="ignore", invalid="ignore"):
+            slopes = np.diff(ys) / np.diff(xs)
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(slopes))):
+            raise ValueError("knots, values and slopes must be finite")
         self._xs = xs
         self._ys = ys
-        self._clamp = bool(clamp)
-        spacing = np.diff(xs)
-        self._uniform_spacing: Optional[float] = (
-            float(spacing[0])
-            if np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0)
-            else None
-        )
+        self._lo = xs[0]
+        self._hi = xs[-1]
+        self._top = float(xs.size - 1)
+        self._inverse_step = self._top / (self._hi - self._lo)
+        # The top knot answers only z == hi: slope 0, no upper neighbour.
+        self._slopes = np.append(slopes, 0.0)
+        self._upper = np.append(xs[1:], np.inf)
+        start = self._start_index(xs)
+        knot = np.arange(xs.size)
+        if np.any((start > knot) | (start < knot - 1)):
+            raise ValueError("knots must be evenly spaced")
 
     # -- constructors ------------------------------------------------------
 
@@ -63,8 +84,6 @@ class LookupTable1D:
         lo: float,
         hi: float,
         num_intervals: int,
-        *,
-        clamp: bool = True,
     ) -> "LookupTable1D":
         """Tabulate *func* on ``num_intervals`` equal sub-ranges of [lo, hi].
 
@@ -80,7 +99,7 @@ class LookupTable1D:
         ys = np.asarray(func(xs), dtype=np.float64)
         if ys.shape != xs.shape:
             raise ValueError("func must return one value per knot")
-        return cls(xs, ys, clamp=clamp)
+        return cls(xs, ys)
 
     # -- properties --------------------------------------------------------
 
@@ -106,63 +125,30 @@ class LookupTable1D:
     @property
     def domain(self) -> tuple[float, float]:
         """The tabulated interval ``(lo, hi)``."""
-        return float(self._xs[0]), float(self._xs[-1])
+        return float(self._lo), float(self._hi)
 
     # -- evaluation --------------------------------------------------------
+
+    def _start_index(self, position: np.ndarray) -> np.ndarray:
+        """``floor((position − lo) / Δ)`` of clamped positions; NaN reads the top."""
+        index = position - self._lo
+        index *= self._inverse_step
+        np.fmin(index, self._top, out=index)
+        return index.astype(np.intp)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         """Interpolate the table at *z* (scalar or array, any shape)."""
         z_arr = np.asarray(z, dtype=np.float64)
-        if self._clamp:
-            z_eval = np.clip(z_arr, self._xs[0], self._xs[-1])
-            out = np.interp(z_eval, self._xs, self._ys)
-        else:
-            out = self._interp_extrapolate(z_arr)
-        if np.isscalar(z) or z_arr.ndim == 0:
-            return float(out)
-        return out
-
-    @property
-    def is_uniform(self) -> bool:
-        """Whether the knots are evenly spaced (enables :meth:`fast_lookup`)."""
-        return self._uniform_spacing is not None
-
-    def fast_lookup(self, z: np.ndarray) -> np.ndarray:
-        """Linear interpolation via direct index arithmetic.
-
-        For uniformly spaced knots (every table built by
-        :meth:`from_function`) the bracketing interval is
-        ``floor((z - lo) / Δx)`` — no binary search — which makes this
-        several times faster than ``np.interp`` on large query batches.  The
-        result matches :meth:`__call__` up to floating-point rounding
-        (``np.interp`` factors the interpolation weight differently); the
-        batched likelihood kernels use this path, the per-row reference path
-        keeps ``np.interp``.  Non-uniform and extrapolating (``clamp=False``)
-        tables fall back to the exact path.
-        """
-        if self._uniform_spacing is None or not self._clamp:
-            return np.asarray(self(np.asarray(z, dtype=np.float64)), dtype=np.float64)
-        lo = self._xs[0]
-        position = np.clip(np.asarray(z, dtype=np.float64), lo, self._xs[-1])
-        position -= lo
-        position *= 1.0 / self._uniform_spacing
-        index = np.minimum(position.astype(np.int64), self._xs.size - 2)
-        weight = position - index
-        lower = np.take(self._ys, index)
-        return lower + weight * (np.take(self._ys, index + 1) - lower)
-
-    def _interp_extrapolate(self, z: np.ndarray) -> np.ndarray:
-        """Linear interpolation with linear extrapolation outside the domain."""
-        out = np.interp(z, self._xs, self._ys)
-        below = z < self._xs[0]
-        above = z > self._xs[-1]
-        if np.any(below):
-            slope = (self._ys[1] - self._ys[0]) / (self._xs[1] - self._xs[0])
-            out = np.where(below, self._ys[0] + slope * (z - self._xs[0]), out)
-        if np.any(above):
-            slope = (self._ys[-1] - self._ys[-2]) / (self._xs[-1] - self._xs[-2])
-            out = np.where(above, self._ys[-1] + slope * (z - self._xs[-1]), out)
-        return out
+        position = np.clip(z_arr.reshape(-1), self._lo, self._hi)
+        index = self._start_index(position)
+        index -= self._xs[index] > position
+        index += self._upper[index] <= position
+        out = position - self._xs[index]
+        out *= self._slopes[index]
+        out += self._ys[index]
+        if z_arr.ndim == 0:
+            return float(out[0])
+        return out.reshape(z_arr.shape)
 
     def max_abs_error(
         self,

@@ -68,20 +68,16 @@ def oracle_taint(
     mu = np.asarray(expected, dtype=np.float64)
     x = float(int(budget))
     if isinstance(adversary.metric, ProbabilityMetric):
-        tainted = sequential_probability_greedy(
+        return sequential_probability_greedy(
             a,
             mu,
             x,
             int(group_size),
             allows_increase=adversary.attack_class.allows_increase,
         )
-    elif isinstance(adversary.metric, DiffMetric):
-        tainted = adversary._taint_diff(a, mu, x, group_size)
-    else:
-        tainted = adversary._taint_add_all(a, mu, x)
-    if adversary.integer_mode:
-        tainted = adversary._round_feasible(a, tainted, x)
-    return tainted
+    if isinstance(adversary.metric, DiffMetric):
+        return adversary._taint_diff(a, mu, x, group_size)
+    return adversary._taint_add_all(a, mu, x)
 
 
 def oracle_taint_batch(

@@ -1,7 +1,7 @@
 """Seeded-grid invariant tests for the greedy metric-minimising adversary.
 
 A deterministic random grid (plain numpy, no extra dependencies) sweeps
-every (metric x attack class x integer_mode) combination and checks the
+every (metric x attack class) combination and checks the
 invariants any correct adversary must satisfy, whatever the inputs:
 
 * the tainted observation is feasible under its attack class — Dec-Only
@@ -12,7 +12,7 @@ invariants any correct adversary must satisfy, whatever the inputs:
 
 These complement the hypothesis suite in ``tests/test_property_based.py``
 with exhaustive combination coverage on reproducible inputs, so a failure
-names the exact (metric, attack, integer_mode, trial) tuple that broke.
+names the exact (metric, attack, trial) tuple that broke.
 """
 
 import numpy as np
@@ -47,34 +47,25 @@ def _trial_inputs(rng, n_groups: int):
 
 @pytest.mark.parametrize("metric_name", METRICS)
 @pytest.mark.parametrize("attack_name", ATTACKS)
-@pytest.mark.parametrize("integer_mode", [False, True])
 class TestAdversaryInvariants:
-    def test_invariants_hold_on_seeded_grid(
-        self, metric_name, attack_name, integer_mode
-    ):
+    def test_invariants_hold_on_seeded_grid(self, metric_name, attack_name):
         # One reproducible stream per combination (str hashing is process
         # randomised, so derive the seed from the grid indices instead).
         rng = np.random.default_rng(
             20050404
             + 100 * METRICS.index(metric_name)
             + 10 * ATTACKS.index(attack_name)
-            + int(integer_mode)
         )
         metric = resolve_metric(metric_name)
         attack = resolve_attack_class(attack_name)
-        adversary = GreedyMetricMinimizer(
-            metric_name, attack_name, integer_mode=integer_mode
-        )
+        adversary = GreedyMetricMinimizer(metric_name, attack_name)
         for trial in range(NUM_TRIALS):
             n_groups = int(rng.integers(1, 20))
             honest, expected, budget = _trial_inputs(rng, n_groups)
             tainted = adversary.taint(
                 honest, expected, budget, group_size=GROUP_SIZE
             )
-            context = (
-                f"metric={metric_name} attack={attack_name} "
-                f"integer_mode={integer_mode} trial={trial}"
-            )
+            context = f"metric={metric_name} attack={attack_name} trial={trial}"
 
             # Attack-class feasibility (also covers non-negativity).
             assert attack.is_feasible(
@@ -94,15 +85,11 @@ class TestAdversaryInvariants:
             after = metric.compute(tainted, expected, group_size=GROUP_SIZE)
             assert after <= before + TOL, context
 
-    def test_batch_preserves_the_invariants(
-        self, metric_name, attack_name, integer_mode
-    ):
+    def test_batch_preserves_the_invariants(self, metric_name, attack_name):
         """The batch path satisfies the same invariants row by row."""
         rng = np.random.default_rng(1234)
         attack = resolve_attack_class(attack_name)
-        adversary = GreedyMetricMinimizer(
-            metric_name, attack_name, integer_mode=integer_mode
-        )
+        adversary = GreedyMetricMinimizer(metric_name, attack_name)
         k, n_groups = 16, 10
         honest = rng.integers(0, GROUP_SIZE + 1, size=(k, n_groups)).astype(
             np.float64

@@ -184,15 +184,7 @@ class TestProbabilityAdversary:
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
 
 
-class TestIntegerModeAndBatch:
-    def test_integer_mode_produces_whole_counts(self, scenario):
-        honest, expected = scenario
-        tainted = GreedyMetricMinimizer("diff", "dec_bounded", integer_mode=True).taint(
-            honest, expected, 7, group_size=GROUP_SIZE
-        )
-        np.testing.assert_allclose(tainted, np.round(tainted))
-        assert np.clip(honest - tainted, 0, None).sum() <= 7 + 1e-9
-
+class TestBatch:
     def test_batch_matches_scalar(self, scenario):
         honest, expected = scenario
         adversary = GreedyMetricMinimizer("diff", "dec_bounded")
@@ -221,8 +213,7 @@ class TestIntegerModeAndBatch:
 
     @pytest.mark.parametrize("metric", ["diff", "add_all", "probability"])
     @pytest.mark.parametrize("attack", ["dec_bounded", "dec_only"])
-    @pytest.mark.parametrize("integer_mode", [False, True])
-    def test_vectorised_batch_equals_loop_bitwise(self, metric, attack, integer_mode):
+    def test_vectorised_batch_equals_loop_bitwise(self, metric, attack):
         """One pass over all victims at once must reproduce the per-row
         oracle bit for bit (not just approximately)."""
         rng = np.random.default_rng(20050404)
@@ -247,7 +238,7 @@ class TestIntegerModeAndBatch:
         # values across groups (row 6).
         honest[5] = np.round(honest[5]) + 0.25
         expected[6] = np.round(expected[6])
-        adversary = GreedyMetricMinimizer(metric, attack, integer_mode=integer_mode)
+        adversary = GreedyMetricMinimizer(metric, attack)
         batch = adversary.taint_batch(honest, expected, budgets, group_size=GROUP_SIZE)
         loop = oracle_taint_batch(
             adversary, honest, expected, budgets, group_size=GROUP_SIZE
@@ -277,19 +268,6 @@ class TestIntegerModeAndBatch:
         assert ProbabilityMetric().compute(
             tainted, expected, group_size=group_size
         ) == ProbabilityMetric.max_score
-
-    def test_integer_mode_gives_back_ties_from_highest_index(self):
-        """Rounding 50 equal decreases of 1.5 to 2 nodes each overshoots a
-        budget of 75 by 25: the give-back runs from group 49 down, so
-        groups 38-49 get both nodes back and group 37 one of them."""
-        honest = np.full(100, 10.0)
-        expected = np.full(100, 8.5)
-        adversary = GreedyMetricMinimizer("diff", "dec_only", integer_mode=True)
-        tainted = adversary.taint(honest, expected, 75, group_size=GROUP_SIZE)
-        want = np.full(100, 10.0)
-        want[:37] = 8.0
-        want[37] = 9.0
-        np.testing.assert_array_equal(tainted, want)
 
     def test_functional_wrapper(self, scenario):
         honest, expected = scenario

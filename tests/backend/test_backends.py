@@ -22,6 +22,7 @@ from repro.backend import (
     default_backend,
     resolve_backend,
 )
+from repro.experiments.scenario import ScenarioSpec
 from repro.utils.stats import binomial_log_coefficient, binomial_log_pmf
 
 
@@ -54,7 +55,6 @@ class TestBackendSpec:
         assert spec.name == "numpy"
         assert spec.device == "auto"
         assert spec.dtype == "float64"
-        assert spec.dense_fallback_fraction is None
 
     def test_name_canonicalised(self):
         assert BackendSpec(name="np").name == "numpy"
@@ -68,30 +68,23 @@ class TestBackendSpec:
         with pytest.raises(ValueError, match="dtype"):
             BackendSpec(dtype="float16")
 
-    def test_bad_fraction_rejected(self):
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError, match="dense_fallback_fraction"):
-                BackendSpec(dense_fallback_fraction=bad)
-
     def test_dict_round_trip(self):
         for spec in (
             BackendSpec(),
             BackendSpec(name="torch", device="cuda", dtype="float32"),
-            BackendSpec(dense_fallback_fraction=0.25),
         ):
             assert BackendSpec.from_dict(spec.as_dict()) == spec
-
-    def test_as_dict_omits_unset_fraction(self):
-        assert "dense_fallback_fraction" not in BackendSpec().as_dict()
 
     def test_from_dict_rejects_typos(self):
         with pytest.raises(ValueError, match="unknown backend field"):
             BackendSpec.from_dict({"name": "numpy", "devize": "cpu"})
 
-    def test_build_applies_fraction_override(self):
-        backend = BackendSpec(dense_fallback_fraction=0.25).build()
-        assert isinstance(backend, NumpyBackend)
-        assert backend.dense_fallback_fraction == 0.25
+    def test_spec_file_rejects_removed_fraction_key(self):
+        """A spec still setting the retired override fails loudly rather
+        than running with a knob that no longer exists."""
+        text = '[backend]\nname = "numpy"\ndense_fallback_fraction = 0.25\n'
+        with pytest.raises(ValueError, match="dense_fallback_fraction"):
+            ScenarioSpec.from_toml(text)
 
     def test_with_device(self):
         assert BackendSpec().with_device("cpu").device == "cpu"
@@ -300,16 +293,6 @@ class TestDenseFallbackKnob:
             == small_knowledge.backend.dense_fallback_fraction
         )
 
-    def test_knowledge_accepts_override(self, small_generator):
-        knowledge = small_generator.knowledge(
-            omega=400, dense_fallback_fraction=0.25
-        )
-        assert knowledge.dense_fallback_fraction == 0.25
-
-    def test_knowledge_rejects_bad_fraction(self, small_generator):
-        with pytest.raises(ValueError, match="dense_fallback_fraction"):
-            small_generator.knowledge(omega=400, dense_fallback_fraction=1.5)
-
     def test_fraction_only_picks_the_path_not_the_answer(
         self, small_generator, small_index, rng
     ):
@@ -320,9 +303,9 @@ class TestDenseFallbackKnob:
         localizer = BeaconlessLocalizer(resolution=4.0)
         estimates = {}
         for fraction in (1e-9, 1.0):  # always-dense vs always-pruned
-            knowledge = small_generator.knowledge(
-                omega=400, dense_fallback_fraction=fraction
-            )
+            backend = NumpyBackend()
+            backend.dense_fallback_fraction = fraction
+            knowledge = small_generator.knowledge(omega=400, backend=backend)
             estimates[fraction] = localizer.localize_observations(
                 knowledge, obs
             )

@@ -147,3 +147,21 @@ class TestActiveGroupPruning:
         full = small_knowledge.model.distances_to_groups(locations)
         subset = small_knowledge.model.distances_to_groups(locations, groups)
         np.testing.assert_array_equal(subset, full[:, groups])
+
+    @pytest.mark.parametrize(
+        "groups",
+        [[0, 3, 17, 24], [24, 17, 3, 0], [11], None],
+        ids=["sorted", "unsorted", "single", "all"],
+    )
+    def test_membership_subset_matches_columns_bitwise(self, small_knowledge, groups):
+        """The pruned kernels' active-set columns are the full matrix's bits."""
+        rng = np.random.default_rng(29)
+        locations = small_knowledge.region.sample_uniform(rng, 40)
+        if groups is None:
+            groups = np.arange(small_knowledge.n_groups)
+        groups = np.asarray(groups)
+        full = small_knowledge.membership_probabilities(locations)
+        subset = small_knowledge.membership_probabilities(locations, groups)
+        np.testing.assert_array_equal(
+            subset.view(np.int64), full[:, groups].view(np.int64)
+        )

@@ -7,7 +7,8 @@ only in their localizer (or beacon layout) produce disjoint artifact keys
 and a sweep under one scheme never consumes another scheme's cached scores
 — while a repeated sweep of the *same* beacon scheme is served entirely
 from cache, bit-identical to the cold run.  The fingerprint audit at the
-end pins, field by field, which keys every config input reaches.
+end pins, field by field, which keys every config and scenario-spec input
+reaches.
 """
 
 import dataclasses
@@ -287,7 +288,11 @@ _FIELD_TABLE = {
 
 def _audit_keys(config, *, localizer="beaconless", timeline=_AUDIT_TIMELINE):
     """The four store keys the audit tracks, for one config."""
-    session = LadSession(config, localizer=localizer)
+    return _session_keys(LadSession(config, localizer=localizer), timeline)
+
+
+def _session_keys(session, timeline):
+    """The four store keys the audit tracks, for one session."""
     return {
         "benign": session.benign_scores_key("diff"),
         "victims": fingerprint_key(session.victims_fingerprint()),
@@ -312,6 +317,47 @@ def _changed_keys(field, value, *, localizer):
         _audit_keys(_AUDIT_CONFIG, localizer=localizer),
         _audit_keys(changed, localizer=localizer),
     )
+
+
+#: The audit's scenario: one point (the audited one) over the audit config.
+_AUDIT_SPEC = ScenarioSpec(
+    metrics=("diff",),
+    attacks=("dec_bounded",),
+    degrees=(80.0,),
+    fractions=(0.1,),
+    timeline=_AUDIT_TIMELINE,
+    config=_AUDIT_CONFIG,
+)
+
+#: The audit timeline with its attack switched on one epoch later.
+_LATER_TIMELINE = TimelineSpec(
+    epochs=3, events=(EventSpec(kind="attack", action="on", at=(2.0,)),)
+)
+
+#: Every ``ScenarioSpec`` field: a changed value, and the keys that change
+#: in each session the changed spec yields (in ``sessions()`` order),
+#: against the audit spec's one session.
+_SPEC_FIELD_TABLE = {
+    "name": ("renamed", [set()]),
+    "description": ("described", [set()]),
+    "metrics": (("diff", "probability"), [set()]),
+    "attacks": (("dec_bounded", "dec_only"), [set()]),
+    "degrees": ((80.0, 120.0), [set()]),
+    "fractions": ((0.1, 0.2), [set()]),
+    "group_sizes": ((41,), [_ALL_KEYS]),
+    "localizer": ("centroid", [_SCORED_KEYS]),
+    "localizers": (("beaconless", "centroid"), [set(), _SCORED_KEYS]),
+    "false_positive_rate": (0.05, [set()]),
+    "timeline": (_LATER_TIMELINE, [{"temporal"}]),
+    "config": (dataclasses.replace(_AUDIT_CONFIG, gz_omega=301), [_SCORED_KEYS]),
+}
+
+
+def _spec_keys(spec):
+    """The audited keys of every session *spec* yields, in order."""
+    return [
+        _session_keys(session, spec.timeline) for _, _, session in spec.sessions()
+    ]
 
 
 class TestFingerprintAudit:
@@ -345,9 +391,19 @@ class TestFingerprintAudit:
         assert _changed_keys(field, value, localizer="centroid") == expected
 
     def test_timeline_event_changes_only_the_temporal_key(self):
-        later = TimelineSpec(
-            epochs=3, events=(EventSpec(kind="attack", action="on", at=(2.0,)),)
-        )
         before = _audit_keys(_AUDIT_CONFIG)
-        after = _audit_keys(_AUDIT_CONFIG, timeline=later)
+        after = _audit_keys(_AUDIT_CONFIG, timeline=_LATER_TIMELINE)
         assert _moved(before, after) == {"temporal"}
+
+    def test_every_spec_field_has_one_row(self):
+        fields = {field.name for field in dataclasses.fields(ScenarioSpec)}
+        assert fields == set(_SPEC_FIELD_TABLE)
+
+    @pytest.mark.parametrize(
+        "field", [field.name for field in dataclasses.fields(ScenarioSpec)]
+    )
+    def test_spec_field_changes_exactly_its_keys(self, field):
+        value, expected = _SPEC_FIELD_TABLE[field]
+        (before,) = _spec_keys(_AUDIT_SPEC)
+        changed = dataclasses.replace(_AUDIT_SPEC, **{field: value})
+        assert [_moved(before, after) for after in _spec_keys(changed)] == expected

@@ -67,7 +67,7 @@ class TestSupportRadius:
         zs = np.linspace(
             wide_knowledge.support_radius, wide_knowledge.gz_table.z_max, 200
         )
-        probs = wide_knowledge.gz_table.fast_lookup(zs)
+        probs = wide_knowledge.gz_table(zs)
         # 1 - p == 1.0 exactly: the unobserved likelihood term vanishes.
         assert np.all(1.0 - probs == 1.0)
 

@@ -88,7 +88,7 @@ class TestTableEntries:
         squared = ((candidates[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
         # cdist returns the correctly rounded square root of the exact sum.
         np.testing.assert_array_equal(np.sqrt(squared.astype(np.float64)), distances)
-        chain = np.log(1.0 - knowledge.gz_table.fast_lookup(distances))
+        chain = np.log(1.0 - knowledge.gz_table(distances))
         np.testing.assert_array_equal(np.take(table, squared, mode="clip"), chain)
 
     def test_table_ends_at_the_support_radius(self):
@@ -105,7 +105,7 @@ class TestTableEntries:
     def test_chain_is_exactly_zero_past_the_table(self, beyond):
         end = _knowledge([[0, 0]])._squared_distance_table.size - 1
         distance = np.sqrt(np.array([float(end + beyond)]))
-        assert np.log(1.0 - _PAPER_GZ.fast_lookup(distance))[0] == 0.0
+        assert np.log(1.0 - _PAPER_GZ(distance))[0] == 0.0
 
     def test_no_table_for_non_integer_points(self):
         assert _knowledge([[0.5, 0.0], [10.0, 20.0]])._squared_distance_table is None
