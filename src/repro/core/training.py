@@ -148,13 +148,10 @@ def collect_training_data(
     estimated = []
     neighbor_counts = []
 
-    collected = 0
-    while collected < num_samples:
-        network = generator.generate(generator_rng)
-        index = NeighborIndex(network)
-        take = min(samples_per_network, num_samples - collected)
-        nodes = generator_rng.choice(network.num_nodes, size=take, replace=False)
-        obs = index.observations_of_nodes(nodes)
+    for network, nodes in generator.sample_nodes(
+        generator_rng, num_samples, samples_per_network
+    ):
+        obs = NeighborIndex(network).observations_of_nodes(nodes)
         counts = obs.sum(axis=1).astype(np.int64)
         if isinstance(localizer, BeaconlessLocalizer):
             est = localizer.localize_observations(knowledge, obs)
@@ -187,7 +184,6 @@ def collect_training_data(
         actual.append(network.positions[nodes])
         estimated.append(est)
         neighbor_counts.append(counts)
-        collected += take
 
     return TrainingData(
         observations=np.vstack(observations),

@@ -271,41 +271,6 @@ class GzTable:
             self._omega,
         )
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_tabulated(
-        cls,
-        radio_range: float,
-        sigma: float,
-        knots: np.ndarray,
-        values: np.ndarray,
-    ) -> "GzTable":
-        """Rebuild a table from already-computed knot positions and values.
-
-        The transport-side constructor: sweep workers receive the knot
-        arrays of a trained table (e.g. through shared memory) and rebuild
-        it without re-running the quadrature pass.  Lookups only ever touch
-        the knot arrays, so the rebuilt table interpolates bit-identically
-        to the one the arrays came from.  ``float64`` knot positions are
-        wrapped without copying, which keeps shared-memory views zero-copy.
-        """
-        table = cls.__new__(cls)
-        table._radio_range = check_positive("radio_range", radio_range)
-        table._sigma = check_positive("sigma", sigma)
-        knots_arr = np.asarray(knots, dtype=np.float64)
-        values_arr = np.asarray(values, dtype=np.float64)
-        if knots_arr.ndim != 1 or knots_arr.shape != values_arr.shape:
-            raise ValueError("knots and values must be matching 1-D arrays")
-        if knots_arr.size < 2:
-            raise ValueError("a tabulated g(z) needs at least two knots")
-        table._omega = int(knots_arr.size - 1)
-        table._z_max = float(knots_arr[-1])
-        if table._z_max <= 0:
-            raise ValueError("z_max must be > 0")
-        table._table = LookupTable1D(knots_arr, values_arr)
-        return table
-
     # -- properties --------------------------------------------------------
 
     @property

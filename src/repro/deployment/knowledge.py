@@ -40,6 +40,15 @@ _PRUNE_TINY = 2.0**-55
 #: built and its kernel keeps the per-call path.
 _CACHE_BUDGET_BYTES = 32 * 2**20
 
+#: The lazily built caches a pickled knowledge leaves out: each rebuilds
+#: bit-identically on first use.
+_CACHES = (
+    "_group_tree",
+    "_support_radius",
+    "_lattice_terms",
+    "_squared_distance_table",
+)
+
 #: Largest coordinate magnitude the squared-distance table accepts: axis
 #: offsets stay below ``2**26``, so every squared offset and their sum are
 #: exact in float64 and ``sqrt(s)`` is the correctly rounded distance.
@@ -76,7 +85,18 @@ class DeploymentKnowledge:
         (the shared numpy reference), a registered backend name, a
         :class:`~repro.backend.BackendSpec`, or an
         :class:`~repro.backend.ArrayBackend` instance.
+
+    A knowledge pickles as its model, ``g(z)`` table and backend: the
+    caches its kernels build lazily are left out (see
+    :meth:`__getstate__`), which keeps the state a process pool ships
+    small.
     """
+
+    # Lazily built caches (see _CACHES); the class-level ``None`` stands in
+    # until first use, also on a knowledge unpickled without them.
+    _group_tree: Optional[cKDTree] = None
+    _support_radius: Optional[float] = None
+    _lattice_terms: Optional[tuple[bytes, Optional[tuple]]] = None
 
     def __init__(
         self,
@@ -102,74 +122,19 @@ class DeploymentKnowledge:
             z_max = model.region.diagonal + radio_range
             gz_table = GzTable(radio_range, sigma, omega=omega, z_max=z_max)
         self._gz = gz_table
-        self._group_tree: Optional[cKDTree] = None
-        self._support_radius: Optional[float] = None
-        self._lattice_terms: Optional[tuple[bytes, Optional[tuple]]] = None
 
-    # -- transport ---------------------------------------------------------
+    def __getstate__(self) -> dict:
+        """The pickled state, without the lazily built caches.
 
-    def share_parts(self) -> tuple[dict, dict]:
-        """Split the knowledge into flat arrays plus a small skeleton.
-
-        Returns ``(arrays, skeleton)``: the arrays hold everything with
-        O(n_groups) or O(ω) footprint (the deployment lattice and the
-        tabulated ``g(z)`` knots/values, contiguous ``float64`` so they can
-        travel through ``multiprocessing.shared_memory`` zero-copy); the
-        skeleton holds only scalars plus the tiny landing-distribution
-        object.  :meth:`from_share_parts` rebuilds an equivalent knowledge
-        object whose likelihood kernels are bit-identical: distances come
-        from ``cdist`` over the identical points and probabilities from
-        interpolation over the identical knots.
+        The group KD-tree, the support radius, the coarse-lattice terms and
+        the ``log(1 − g(√s))`` table rebuild on first use from the pickled
+        model and ``g(z)`` table, bit for bit, so a pickled knowledge costs
+        its model and table only, however much it has localized.
         """
-        gz = self._gz
-        arrays = {
-            "deployment_points": np.ascontiguousarray(
-                self.deployment_points, dtype=np.float64
-            ),
-            "gz_knots": np.ascontiguousarray(gz.table.knots, dtype=np.float64),
-            "gz_values": np.ascontiguousarray(gz.table.values, dtype=np.float64),
-        }
-        region = self.region
-        skeleton = {
-            "version": 1,
-            "region": (region.x_min, region.y_min, region.x_max, region.y_max),
-            "distribution": self._model.distribution,
-            "group_size": self._group_size,
-            "radio_range": self._radio_range,
-            "gz_radio_range": gz.radio_range,
-            "gz_sigma": gz.sigma,
-        }
-        return arrays, skeleton
-
-    @classmethod
-    def from_share_parts(
-        cls, skeleton: dict, arrays: dict, *, backend=None
-    ) -> "DeploymentKnowledge":
-        """Rebuild knowledge from :meth:`share_parts` output.
-
-        *backend* is resolved locally (backends hold process-local state and
-        are rebuilt from their spec on the receiving side, not shipped).
-        """
-        from repro.deployment.models import PrebuiltDeploymentModel
-
-        table = GzTable.from_tabulated(
-            skeleton["gz_radio_range"],
-            skeleton["gz_sigma"],
-            arrays["gz_knots"],
-            arrays["gz_values"],
-        )
-        model = PrebuiltDeploymentModel(
-            Region(*skeleton["region"]),
-            arrays["deployment_points"],
-            distribution=skeleton["distribution"],
-        )
-        return cls(
-            model,
-            skeleton["group_size"],
-            skeleton["radio_range"],
-            gz_table=table,
-            backend=backend,
-        )
+        state = self.__dict__.copy()
+        for name in _CACHES:
+            state.pop(name, None)
+        return state
 
     # -- properties --------------------------------------------------------
 
@@ -282,27 +247,6 @@ class DeploymentKnowledge:
         hits = self._group_tree.query_ball_point(pts, r, return_sorted=True)
         return [np.asarray(h, dtype=np.int64) for h in hits]
 
-    def _shared_active_set(
-        self, locations: np.ndarray, observations: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """Active set shared by a batch kernel call, or ``None`` for dense.
-
-        The union of (a) every group within :attr:`support_radius` of some
-        candidate and (b) every group any observation row touches.  Groups
-        outside the union contribute exact zeros to every ``(row, candidate)``
-        likelihood (they have ``k == 0`` in all rows and ``1 − p == 1.0`` at
-        all candidates), so restricting the kernel to the union only changes
-        floating-point summation order.
-        """
-        if not np.isfinite(self.support_radius):
-            return None
-        near = self.active_groups(locations)
-        observed = np.flatnonzero(np.any(observations != 0, axis=0))
-        active = np.unique(np.concatenate([*near, observed]))
-        if active.size >= self.dense_fallback_fraction * self.n_groups:
-            return None
-        return active
-
     # -- core computations -------------------------------------------------
 
     def membership_probabilities(self, locations, groups=None) -> np.ndarray:
@@ -365,9 +309,7 @@ class DeploymentKnowledge:
         log_pmf = binomial_log_pmf(obs[None, :], self._group_size, probs)
         return log_pmf.sum(axis=1)
 
-    def log_likelihood_batch(
-        self, locations, observations, *, prune: bool = False
-    ) -> np.ndarray:
+    def log_likelihood_batch(self, locations, observations) -> np.ndarray:
         """Log-likelihood of every observation at every candidate location.
 
         The batched form of :meth:`log_likelihood` over a *shared* candidate
@@ -388,13 +330,6 @@ class DeploymentKnowledge:
             Candidate locations shared by all observations, shape ``(c, 2)``.
         observations:
             Observation vectors, shape ``(k, n_groups)``.
-        prune:
-            When ``True``, restrict the kernel to the active group set (the
-            union of groups within :attr:`support_radius` of some candidate
-            and groups with a non-zero observation entry).  The dropped
-            terms are exact zeros, so the result matches the dense kernel up
-            to summation order; when the active set covers most groups the
-            dense path is used regardless.
 
         Returns
         -------
@@ -402,13 +337,7 @@ class DeploymentKnowledge:
         observation at each candidate.
         """
         obs = self._check_observations(observations)
-        locs = as_points(locations)
-        active = self._shared_active_set(locs, obs) if prune else None
-        if active is not None:
-            obs = obs[:, active]
-            probs = self.membership_probabilities(locs, active)
-        else:
-            probs = self.membership_probabilities(locs)
+        probs = self.membership_probabilities(as_points(locations))
         return self._binomial_batch(obs, *self._batch_terms(probs))
 
     def log_likelihood_lattice(self, lattice, covered, observations) -> np.ndarray:

@@ -280,14 +280,12 @@ class RandomDeploymentModel(DeploymentModel):
 class PrebuiltDeploymentModel(DeploymentModel):
     """A deployment model over externally supplied deployment points.
 
-    The transport-side counterpart of the layout-generating models above:
-    rebuilds a model from an existing points array (possibly a read-only
-    shared-memory view) without re-deriving any layout.  All concrete
-    :class:`DeploymentModel` behaviour works off the points array, so
-    distances — and therefore likelihoods — are bit-identical to the model
-    the points came from.  Used by
-    :meth:`repro.deployment.knowledge.DeploymentKnowledge.from_share_parts`;
-    deliberately not registered in :data:`DEPLOYMENTS` (it cannot be built
+    The counterpart of the layout-generating models above: builds a model
+    from an existing points array (say, one loaded from disk) without
+    re-deriving any layout.  All concrete :class:`DeploymentModel`
+    behaviour works off the points array, so distances — and therefore
+    likelihoods — are bit-identical to the model the points came from.
+    Deliberately not registered in :data:`DEPLOYMENTS` (it cannot be built
     from a name alone).
     """
 

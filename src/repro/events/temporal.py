@@ -28,8 +28,10 @@ Determinism contract (the same one the sweep honours):
 * every firing's effect draws from its own name-derived stream
   (``timeline/{source}/fire/{ordinal}``) and the per-epoch attack scoring
   re-derives the sweep point's stream (:meth:`SweepPoint.stream_name`)
-  every epoch — serial and process-fan-out runs share
-  :func:`_simulate_point` verbatim, so they are identical by construction;
+  every epoch, and serial and pooled runs call the same per-point function
+  on the same state dict (the fan-out contract of
+  :func:`~repro.experiments.sweep.fan_out`), so they are identical by
+  construction;
 * cold results are persisted per point under
   :meth:`LadSession.temporal_key` (the attacked fingerprint plus the
   timeline fingerprint) by the sweep's store loop, so interrupted temporal
@@ -39,7 +41,6 @@ Determinism contract (the same one the sweep honours):
 from __future__ import annotations
 
 import json
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from typing import (
@@ -59,13 +60,7 @@ from repro.core.metrics import resolve_metric
 from repro.core.verdict import Verdict, verdicts_from_scores
 from repro.events.engine import EventEngine
 from repro.events.timeline import TimelineSpec
-from repro.experiments.sweep import (
-    _WORKER_STATE,
-    CachedGrid,
-    SweepPoint,
-    _init_worker,
-    fan_out,
-)
+from repro.experiments.sweep import CachedGrid, SweepPoint
 from repro.network.neighbors import NeighborIndex
 from repro.utils.rng import RandomState
 
@@ -132,23 +127,16 @@ class TemporalWorld:
     ) -> "TemporalWorld":
         """Replay the ``"victims"`` stream of *seed* and retain the networks."""
         rng = RandomState(seed).stream("victims")
-        cells: List[_Cell] = []
-        remaining = int(num_victims)
-        while remaining > 0:
-            network = generator.generate(rng)
-            # The session builds a NeighborIndex here; index construction
-            # consumes no randomness, so skipping it keeps the stream (and
-            # therefore the victim draw below) bit-identical.
-            take = min(int(victims_per_network), remaining)
-            nodes = rng.choice(network.num_nodes, size=take, replace=False)
-            cells.append(
-                _Cell(
-                    network=network,
-                    victims=np.asarray(nodes, dtype=np.int64),
-                    node_alive=np.ones(network.num_nodes, dtype=bool),
-                )
+        cells = [
+            _Cell(
+                network=network,
+                victims=np.asarray(nodes, dtype=np.int64),
+                node_alive=np.ones(network.num_nodes, dtype=bool),
             )
-            remaining -= take
+            for network, nodes in generator.sample_nodes(
+                rng, num_victims, victims_per_network
+            )
+        ]
         return cls(cells)
 
     @classmethod
@@ -307,7 +295,7 @@ def _simulate_point(
 
     Degeneracy: with an empty timeline the single epoch scores all victims
     through :func:`attacked_scores_from_observations` under the point's own
-    stream — the exact call of :meth:`LadSession._compute_attacked_scores`
+    stream — the exact call of :meth:`LadSession.attacked_scores`
     — so the temporal engine reproduces the static attacked scores bit for
     bit.
     """
@@ -364,7 +352,7 @@ def _simulate_point(
             # Always attack the *full* victim batch under the point's own
             # stream, recreated every epoch: the draws never depend on the
             # attacked mask, and epoch 0 of an empty timeline replays
-            # LadSession._compute_attacked_scores exactly.
+            # LadSession.attacked_scores exactly.
             attack_scores = attacked_scores_from_observations(
                 knowledge,
                 observations,
@@ -623,23 +611,15 @@ class TemporalOutcome:
         )
 
 
-def _simulate_point_worker(point: SweepPoint) -> Dict[str, np.ndarray]:
-    """Worker entry: build the base world once, then simulate per point."""
-    state = _WORKER_STATE
-    if "world" not in state:
-        state["world"] = TemporalWorld.build(
-            state["generator"],
-            num_victims=state["num_victims"],
-            victims_per_network=state["victims_per_network"],
-            seed=state["seed"],
-        )
+def _simulate_from_state(state: dict, point: SweepPoint) -> Dict[str, np.ndarray]:
+    """:func:`_simulate_point` on :meth:`TemporalRunner._build_state`'s dict."""
     return _simulate_point(
         state["world"],
         state["knowledge"],
         state["seed"],
         state["timeline"],
         point,
-        localizer=state.get("localizer_view"),
+        localizer=state["localizer"],
     )
 
 
@@ -656,6 +636,7 @@ class TemporalRunner(CachedGrid):
     """
 
     category = "temporal"
+    compute = staticmethod(_simulate_from_state)
 
     def __init__(
         self,
@@ -666,7 +647,6 @@ class TemporalRunner(CachedGrid):
     ):
         super().__init__(session, workers=workers)
         self._timeline = timeline if timeline is not None else TimelineSpec()
-        self._world: Optional[TemporalWorld] = None
 
     @property
     def timeline(self) -> TimelineSpec:
@@ -731,41 +711,13 @@ class TemporalRunner(CachedGrid):
                 false_positive_rate=false_positive_rate,
             )
 
-    def _compute(self, point: SweepPoint) -> Dict[str, np.ndarray]:
-        """Simulate one point in-process (the base world is built once)."""
-        if self._world is None:
-            self._world = TemporalWorld.from_session(self._session)
-        return _simulate_point(
-            self._world,
-            self._session.knowledge,
-            self._session.config.seed,
-            self._timeline,
-            point,
-            localizer=self._localizer_view(),
-        )
-
-    def _iter_cold(self, points: List[SweepPoint]) -> Iterator[Dict[str, np.ndarray]]:
-        """Simulate store-missing points in grid order (pool or serial).
-
-        Pool workers share the picklable session state and rebuild the
-        base world once each.
-        """
+    def _build_state(self) -> dict:
+        """The base world, knowledge, seed, timeline and localizer view."""
         session = self._session
-        return fan_out(
-            _simulate_point_worker,
-            points,
-            self._workers,
-            serial=self._compute,
-            initializer=_init_worker,
-            worker_state=lambda: nullcontext(
-                {
-                    "generator": session.generator,
-                    "knowledge": session.knowledge,
-                    "seed": session.config.seed,
-                    "num_victims": session.config.num_victims,
-                    "victims_per_network": session.config.victims_per_network,
-                    "timeline": self._timeline,
-                    "localizer_view": self._localizer_view(),
-                }
-            ),
-        )
+        return {
+            "world": TemporalWorld.from_session(session),
+            "knowledge": session.knowledge,
+            "seed": session.config.seed,
+            "timeline": self._timeline,
+            "localizer": self._localizer_view(),
+        }

@@ -84,12 +84,13 @@ def run_figure_spec(
     )
 
 
-def _sweep_session(task) -> Dict[SweepPoint, DetectionOutcome]:
+def _sweep_session(_state, task) -> Dict[SweepPoint, DetectionOutcome]:
     """Detection rates of the spec's grid in one ``(localizer, m)`` session.
 
     Module-level so :func:`~repro.experiments.sweep.fan_out` can ship it to
-    worker processes, where *store* arrives as a pickled copy: the content
-    on disk is shared, the hit/miss counters stay per-process.
+    worker processes (it reads no fan-out state), where *store* arrives as a
+    pickled copy: the content on disk is shared, the hit/miss counters stay
+    per-process.
     """
     scenario, localizer, group_size, store, workers = task
     session = scenario.session(group_size=group_size, localizer=localizer, store=store)

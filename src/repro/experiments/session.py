@@ -560,18 +560,15 @@ class LadSession:
                         actual_locations=cached["locations"],
                     )
                     return self._victims
-            rng = self._random.stream("victims")
             observations: List[np.ndarray] = []
             locations: List[np.ndarray] = []
-            remaining = self.config.num_victims
-            while remaining > 0:
-                network = self._generator.generate(rng)
-                index = NeighborIndex(network)
-                take = min(self.config.victims_per_network, remaining)
-                nodes = rng.choice(network.num_nodes, size=take, replace=False)
-                observations.append(index.observations_of_nodes(nodes))
+            for network, nodes in self._generator.sample_nodes(
+                self._random.stream("victims"),
+                self.config.num_victims,
+                self.config.victims_per_network,
+            ):
+                observations.append(NeighborIndex(network).observations_of_nodes(nodes))
                 locations.append(network.positions[nodes])
-                remaining -= take
             self._victims = _VictimSample(
                 observations=np.vstack(observations),
                 actual_locations=np.vstack(locations),
@@ -603,6 +600,8 @@ class LadSession:
         because every point's random stream is derived from the seed and
         the parameter names alone.
         """
+        from repro.experiments.sweep import attack_stream_name
+
         key = None
         if self._store is not None:
             key = self.attacked_scores_key(
@@ -614,39 +613,13 @@ class LadSession:
             cached = self._store.load("attacked_scores", key)
             if cached is not None:
                 return cached["scores"]
-        scores = self._compute_attacked_scores(
-            metric,
-            attack_class,
-            degree_of_damage=degree_of_damage,
-            compromised_fraction=compromised_fraction,
-        )
-        if self._store is not None and key is not None:
-            self._store.save("attacked_scores", key, scores=scores)
-        return scores
-
-    def _compute_attacked_scores(
-        self,
-        metric: Union[str, AnomalyMetric],
-        attack_class: str,
-        *,
-        degree_of_damage: float,
-        compromised_fraction: float,
-    ) -> np.ndarray:
-        """Score one parameter combination, bypassing the artifact store.
-
-        :meth:`SweepRunner.iter_attacked_scores` calls this for its cold
-        points (it already consulted the store and publishes the results
-        itself), so hit/miss counters are bumped exactly once per point.
-        """
-        from repro.experiments.sweep import attack_stream_name
-
         sample = self.victims()
         rng = self._random.stream(
             attack_stream_name(
                 metric, attack_class, degree_of_damage, compromised_fraction
             )
         )
-        return attacked_scores_from_observations(
+        scores = attacked_scores_from_observations(
             self.knowledge,
             sample.observations,
             sample.actual_locations,
@@ -657,6 +630,9 @@ class LadSession:
             rng=rng,
             localizer=self._localizer,
         )
+        if self._store is not None and key is not None:
+            self._store.save("attacked_scores", key, scores=scores)
+        return scores
 
     def attacked_claims(
         self,

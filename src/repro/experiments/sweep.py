@@ -14,31 +14,32 @@ once:
 
 * the expensive per-combination work — the greedy adversary plus metric
   scoring — is what gets distributed;
-* the victim observation payload lives in one
-  :mod:`multiprocessing.shared_memory` segment per array: workers receive
-  only the segment name / shape / dtype through the pool initializer and
-  map the buffers zero-copy, so no worker ever re-pickles the (potentially
-  large) victim sample;
+* the shared state is one dict (seed, knowledge, the victims' observations
+  and locations, the localizer's modality view) that every point reads
+  through the one per-point function :func:`_score_point`, in-process or
+  in a pool worker that received the dict once;
 * the per-combination random streams are derived from the session seed
   and the combination *name* (:func:`attack_stream_name`), so a parallel
   sweep reproduces the serial one — and therefore
   :meth:`LadSession.attacked_scores` — bit for bit, regardless of
   scheduling order.
 
-Platforms without working process pools or shared memory (some sandboxes
-and embedded interpreters) degrade gracefully: the runner emits a
-``RuntimeWarning`` and runs the identical serial path instead of crashing
+Platforms without working process pools (some sandboxes and embedded
+interpreters) degrade gracefully: the runner emits a ``RuntimeWarning``
+and computes the remaining points in-process instead of crashing
 mid-sweep.
 
 :class:`CachedGrid` is the one store loop under both runners: the sweep
 (category ``attacked_scores``) and the temporal runner
 (:mod:`repro.events.temporal`, category ``temporal``) each name their
-category and supply per-point keys and computations, and inherit the
-warm/cold partition, ``shard=`` and :meth:`~CachedGrid.progress`.  A
-point's ``.npz`` in the store is its only progress record.
+category and supply per-point keys, one per-point function and its state,
+and inherit the warm/cold partition, ``shard=``, the cold-point fan-out and
+:meth:`~CachedGrid.progress`.  A point's ``.npz`` in the store is its only
+progress record.
 
-:func:`fan_out` is that pool-with-serial-fallback, and the only process
-pool of the package: the sweep's cold points, the temporal runner's
+:func:`fan_out` is the one fan-out contract and the only process pool of
+the package: every task runs ``fn(state, task)``, so serial and pooled runs
+execute the same function.  The sweep's cold points, the temporal runner's
 points and the figures' per-session training passes
 (:mod:`repro.experiments.figures.common`) all fan out through it.
 
@@ -53,12 +54,11 @@ import itertools
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Callable,
-    ContextManager,
     Dict,
     Iterable,
     Iterator,
@@ -96,6 +96,7 @@ __all__ = [
     "shard_points",
 ]
 
+S = TypeVar("S")
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -168,51 +169,56 @@ def shard_points(
     return [p for p in points if shard_of_point(p, count) == index]
 
 
-#: Shared per-worker state, installed once by the pool initializer.
-_WORKER_STATE: dict = {}
-
 #: Errors that mean "this platform cannot fan out worker processes" —
 #: :func:`fan_out` falls back to the (bit-identical) serial path on one.
 FAN_OUT_ERRORS = (ImportError, NotImplementedError, OSError, BrokenProcessPool)
 
+#: The state of the pool this worker process serves: set once by the pool
+#: initializer and read only by :func:`_call_with_state`.
+_pool_state: object = None
+
+
+def _install_state(state: object) -> None:
+    global _pool_state
+    _pool_state = state
+
+
+def _call_with_state(fn: Callable[[S, T], R], task: T) -> R:
+    return fn(_pool_state, task)
+
 
 def fan_out(
-    fn: Callable[[T], R],
+    fn: Callable[[S, T], R],
     tasks: Sequence[T],
     workers: int,
     *,
-    serial: Optional[Callable[[T], R]] = None,
-    initializer: Optional[Callable[[object], None]] = None,
-    worker_state: Callable[[], ContextManager[object]] = nullcontext,
+    state: S = None,
 ) -> Iterator[R]:
-    """Yield the result of every task, in task order.
+    """Yield ``fn(state, task)`` for every task, in task order.
 
-    With ``workers <= 1`` each task runs in-process through *serial*
-    (default: *fn*).  Otherwise a pool of up to *workers* processes maps
-    *fn* over the tasks.  ``worker_state()`` is entered only once a pool
-    is wanted; its value reaches every worker through
-    ``initializer(value)`` and it is exited after the pool shuts down.
+    With ``workers <= 1`` each task runs in-process.  Otherwise a pool of up
+    to *workers* processes maps the tasks, each worker holding *state* from
+    its initializer: inherited under ``fork``, pickled once per worker under
+    ``spawn`` or ``forkserver``.  Serial and pooled runs therefore call the
+    same *fn* (module-level, so a pool can ship it) on the same state.
 
-    Any :data:`FAN_OUT_ERRORS` — raised while building the worker state,
-    while starting the pool or mid-stream — emits one ``RuntimeWarning``,
-    and the remaining tasks continue serially from the first one not yet
-    yielded.  *fn* and *serial* must return the same result for a task
-    (every random stream is name-derived), so the switch never shows.
+    Any :data:`FAN_OUT_ERRORS` — raised while starting the pool or
+    mid-stream — emits one ``RuntimeWarning``, and the remaining tasks
+    continue in-process from the first one not yet yielded.  Every random
+    stream is name-derived, so the switch never shows in the results.
     """
     tasks = list(tasks)
-    serial = fn if serial is None else serial
     done = 0
     if workers > 1 and tasks:
         try:
-            with worker_state() as state:
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(tasks)),
-                    initializer=initializer,
-                    initargs=() if initializer is None else (state,),
-                ) as pool:
-                    for result in pool.map(fn, tasks):
-                        yield result
-                        done += 1
+            with ProcessPoolExecutor(
+                max_workers=min(workers, len(tasks)),
+                initializer=_install_state,
+                initargs=(state,),
+            ) as pool:
+                for result in pool.map(partial(_call_with_state, fn), tasks):
+                    yield result
+                    done += 1
         except FAN_OUT_ERRORS as exc:
             warnings.warn(
                 f"process fan-out unavailable on this platform ({exc!r}); "
@@ -221,118 +227,32 @@ def fan_out(
                 stacklevel=2,
             )
     for task in tasks[done:]:
-        yield serial(task)
-
-
-def _share_array(array: np.ndarray):
-    """Copy *array* into a fresh shared-memory segment.
-
-    Returns the segment (the caller owns it and must ``close``/``unlink``)
-    plus the picklable metadata a worker needs to map the buffer.
-    """
-    from multiprocessing import shared_memory
-
-    array = np.ascontiguousarray(array)
-    segment = shared_memory.SharedMemory(create=True, size=max(1, array.nbytes))
-    view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
-    view[...] = array
-    meta = {"name": segment.name, "shape": array.shape, "dtype": str(array.dtype)}
-    return segment, meta
-
-
-def _release(segments) -> None:
-    """Close and unlink shared-memory segments created by :func:`_share_array`."""
-    for segment in segments:
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
-def _attach_array(meta: dict):
-    """Map a shared-memory segment created by :func:`_share_array`.
-
-    The worker does not own the segment — the parent unlinks it — so the
-    attach must not register it with the resource tracker (on POSIX,
-    attaching registers just like creating; with a fork-shared tracker the
-    duplicate registrations from many workers then produce spurious
-    "leaked shared_memory" noise and double-unlink errors).  Registration
-    is suppressed for the duration of the attach.
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    original_register = resource_tracker.register
-    resource_tracker.register = lambda name, rtype: None
-    try:
-        segment = shared_memory.SharedMemory(name=meta["name"])
-    finally:
-        resource_tracker.register = original_register
-    array = np.ndarray(
-        tuple(meta["shape"]), dtype=np.dtype(meta["dtype"]), buffer=segment.buf
-    )
-    # Every worker maps the same buffer: an in-place mutation anywhere would
-    # silently corrupt the other workers' inputs, so make it loud instead.
-    array.flags.writeable = False
-    return segment, array
-
-
-def _init_worker(payload: dict) -> None:
-    state = dict(payload)
-    shared = state.pop("shared_arrays", None)
-    if shared:
-        segments = []
-        for key, meta in shared.items():
-            segment, array = _attach_array(meta)
-            segments.append(segment)
-            state[key] = array
-        # Keep the segments referenced for the worker's lifetime: the numpy
-        # views borrow their buffers.
-        state["_shared_segments"] = segments
-    skeleton = state.pop("knowledge_skeleton", None)
-    if skeleton is not None:
-        # Rebuild the deployment knowledge from its shared-memory arrays
-        # plus the pickled skeleton: the lattice and the tabulated g(z)
-        # knots are mapped zero-copy, so per-worker memory stays
-        # O(victims), not O(knowledge).  Backends hold process-local state
-        # and are rebuilt from their spec.
-        from repro.deployment.knowledge import DeploymentKnowledge
-
-        backend_spec = state.pop("backend_spec", None)
-        backend = None if backend_spec is None else backend_spec.build()
-        state["knowledge"] = DeploymentKnowledge.from_share_parts(
-            skeleton,
-            {
-                "deployment_points": state.pop("knowledge_points"),
-                "gz_knots": state.pop("knowledge_gz_knots"),
-                "gz_values": state.pop("knowledge_gz_values"),
-            },
-            backend=backend,
-        )
-    _WORKER_STATE.update(state)
+        yield fn(state, task)
 
 
 @dataclass(frozen=True)
 class LocalizerModalities:
-    """Picklable stand-in for a localization scheme in the worker payload.
+    """Picklable stand-in for a localization scheme in a grid's state.
 
     Modality-targeted attack classes only consult the scheme's
     ``modalities`` tag (to decide whether the attacked channel feeds the
-    scheme at all), so the pool ships this two-field view instead of the
-    scheme itself — schemes may hold process-local backend state that must
-    not cross process boundaries.  Serial and parallel paths therefore see
-    the same modality decision, keeping them bit-identical.
+    scheme at all), so the state carries this two-field view instead of
+    the scheme itself — schemes may hold process-local backend state that
+    must not cross process boundaries.
     """
 
     modalities: tuple = ()
     name: str = ""
 
 
-def _score_point(point: SweepPoint) -> np.ndarray:
-    """Attacked scores for one combination, from the worker's shared state."""
-    state = _WORKER_STATE
-    rng = RandomState(state["seed"]).stream(point.stream_name())
-    return attacked_scores_from_observations(
+def _score_point(state: dict, point: SweepPoint) -> Dict[str, np.ndarray]:
+    """Attacked scores of one combination, from :meth:`SweepRunner._build_state`.
+
+    The call of :meth:`LadSession.attacked_scores`, under the
+    point's own stream, so the scores equal
+    :meth:`LadSession.attacked_scores` bit for bit.
+    """
+    scores = attacked_scores_from_observations(
         state["knowledge"],
         state["observations"],
         state["locations"],
@@ -340,9 +260,10 @@ def _score_point(point: SweepPoint) -> np.ndarray:
         attack_class=point.attack,
         degree_of_damage=point.degree_of_damage,
         compromised_fraction=point.compromised_fraction,
-        rng=rng,
-        localizer=state.get("localizer_view"),
+        rng=RandomState(state["seed"]).stream(point.stream_name()),
+        localizer=state["localizer"],
     )
+    return {"scores": scores}
 
 
 @dataclass(frozen=True)
@@ -366,21 +287,29 @@ class CachedGrid:
     :class:`~repro.events.temporal.TemporalRunner` (category
     ``"temporal"``).  A point is done once its ``.npz`` is in the store;
     nothing else records progress.  A subclass names its :attr:`category`
-    and supplies three hooks, each giving the named arrays the store
-    persists for a point:
+    and supplies:
 
     * ``keys(points)`` — the points' store keys, in grid order;
-    * ``_compute(point)`` — one point, computed in-process;
-    * ``_iter_cold(points)`` — the store-missing points in grid order,
-      fanned out through :func:`fan_out`.
+    * :attr:`compute` — the module-level ``compute(state, point)`` giving
+      the named arrays the store persists for one point;
+    * ``_build_state()`` — the one state dict every point reads.
+
+    The cold points go through :func:`fan_out` with that state, so serial
+    and pooled runs call :attr:`compute` on the same state.  The state is
+    built when the first point is computed, so a fully warm grid builds
+    none (and loads no victims).
     """
 
     #: Store category of the per-point artifacts.
     category = ""
 
+    #: ``compute(state, point) -> arrays`` (a module-level function).
+    compute: Callable[[dict, SweepPoint], Dict[str, np.ndarray]]
+
     def __init__(self, session: "LadSession", *, workers: int = 0):
         self._session = session
         self._workers = int(workers)
+        self._state: Optional[dict] = None
 
     @property
     def session(self) -> "LadSession":
@@ -391,8 +320,8 @@ class CachedGrid:
         """The session localizer's modality tag, in picklable form.
 
         Modality-targeted attack classes gate their displacement on it;
-        serial and worker paths receive the same view so they stay
-        bit-identical.
+        it rides in the grid's state, so serial and pooled runs read the
+        same view.
         """
         localizer = self._session.localizer
         return LocalizerModalities(
@@ -428,7 +357,7 @@ class CachedGrid:
         session store, the slice's points are probed first — existence
         checks only, so the generator stays O(1) in memory for arbitrarily
         long resumed grids, and a miss is counted only for a point this run
-        computes.  The cold remainder goes through :meth:`_iter_cold`; each
+        computes.  The cold remainder fans out through :func:`fan_out`; each
         cold result is saved atomically the moment it arrives.  A warm
         artifact that vanished or was corrupt since the probe (quarantined
         by the failed load) is recomputed inline.
@@ -447,11 +376,24 @@ class CachedGrid:
                 if arrays is not None:
                     yield point, arrays
                     continue
-                arrays = self._compute(point)
+                arrays = self.compute(self._cold_state(), point)
             else:
                 arrays = next(cold)
             store.save(self.category, key, **arrays)
             yield point, arrays
+
+    def _iter_cold(self, points: List[SweepPoint]) -> Iterator[Dict[str, np.ndarray]]:
+        """Compute *points* in grid order; the state is built on the first."""
+        if points:
+            yield from fan_out(
+                self.compute, points, self._workers, state=self._cold_state()
+            )
+
+    def _cold_state(self) -> dict:
+        """The state dict of :attr:`compute`, built on first use."""
+        if self._state is None:
+            self._state = self._build_state()
+        return self._state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -481,6 +423,7 @@ class SweepRunner(CachedGrid):
     """
 
     category = "attacked_scores"
+    compute = staticmethod(_score_point)
 
     @staticmethod
     def grid(
@@ -511,10 +454,10 @@ class SweepRunner(CachedGrid):
     ) -> Dict[SweepPoint, np.ndarray]:
         """Attacked score samples for every sweep point.
 
-        With ``workers > 1`` the grid is fanned over a process pool whose
-        workers map the victim payload from shared memory; on platforms
-        where that is impossible the sweep falls back to the serial path
-        (identical results) with a :class:`RuntimeWarning`.
+        With ``workers > 1`` the grid is fanned over a process pool (see
+        :func:`fan_out`); on platforms where that is impossible the sweep
+        falls back to the serial path (identical results) with a
+        :class:`RuntimeWarning`.
         """
         return dict(self.iter_attacked_scores(points, shard=shard))
 
@@ -543,78 +486,17 @@ class SweepRunner(CachedGrid):
         for point, arrays in self._iter_arrays(points, shard=shard):
             yield point, arrays["scores"]
 
-    def _score(self, point: SweepPoint) -> np.ndarray:
-        """Attacked scores of one point, computed in-process."""
-        return self._session._compute_attacked_scores(
-            point.metric,
-            point.attack,
-            degree_of_damage=point.degree_of_damage,
-            compromised_fraction=point.compromised_fraction,
-        )
-
-    def _compute(self, point: SweepPoint) -> Dict[str, np.ndarray]:
-        return {"scores": self._score(point)}
-
-    def _iter_cold(self, points: List[SweepPoint]) -> Iterator[Dict[str, np.ndarray]]:
-        """Score store-missing points in grid order (shared-memory pool or serial)."""
-        for scores in fan_out(
-            _score_point,
-            points,
-            self._workers,
-            serial=self._score,
-            initializer=_init_worker,
-            worker_state=self._shared_payload,
-        ):
-            yield {"scores": scores}
-
-    def _pool_payload(self):
-        """Shared segments plus the metadata-only pool initializer payload.
-
-        Everything with a real footprint — the victims' observation arrays
-        and the deployment knowledge's lattice and tabulated ``g(z)`` —
-        travels through shared memory; the pickled payload carries only
-        segment metadata and a small knowledge skeleton
-        (:meth:`~repro.deployment.knowledge.DeploymentKnowledge.share_parts`),
-        so per-worker memory is O(victims' views), not O(knowledge) per
-        process.  The caller owns the returned segments and must
-        close/unlink them once the pool is done.
-        """
+    def _build_state(self) -> dict:
+        """The session's seed, knowledge and victims, and the localizer view."""
         session = self._session
         sample = session.victims()
-        knowledge_arrays, knowledge_skeleton = session.knowledge.share_parts()
-        segments = []
-        shared_arrays = {}
-        try:
-            for key, array in (
-                ("observations", sample.observations),
-                ("locations", sample.actual_locations),
-                ("knowledge_points", knowledge_arrays["deployment_points"]),
-                ("knowledge_gz_knots", knowledge_arrays["gz_knots"]),
-                ("knowledge_gz_values", knowledge_arrays["gz_values"]),
-            ):
-                segment, meta = _share_array(array)
-                segments.append(segment)
-                shared_arrays[key] = meta
-        except BaseException:
-            _release(segments)
-            raise
-        payload = {
+        return {
             "seed": session.config.seed,
-            "knowledge_skeleton": knowledge_skeleton,
-            "backend_spec": session.backend_spec,
-            "shared_arrays": shared_arrays,
-            "localizer_view": self._localizer_view(),
+            "knowledge": session.knowledge,
+            "observations": sample.observations,
+            "locations": sample.actual_locations,
+            "localizer": self._localizer_view(),
         }
-        return segments, payload
-
-    @contextmanager
-    def _shared_payload(self) -> Iterator[dict]:
-        """The pool payload, its shared segments released on exit."""
-        segments, payload = self._pool_payload()
-        try:
-            yield payload
-        finally:
-            _release(segments)
 
     def rocs(
         self,

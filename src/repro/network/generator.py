@@ -9,8 +9,9 @@ distribution around its group's deployment point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
+import numpy as np
 
 from repro.deployment.knowledge import DeploymentKnowledge
 from repro.deployment.models import DeploymentModel, paper_deployment_model
@@ -68,6 +69,25 @@ class NetworkGenerator:
             radio=self.radio,
             region=self.model.region,
         )
+
+    def sample_nodes(
+        self, rng, total: int, per_network: int
+    ) -> Iterator[tuple[SensorNetwork, np.ndarray]]:
+        """Deploy networks and draw *total* nodes from them, network by network.
+
+        Yields ``(network, nodes)``: each network is deployed from *rng* (a
+        seed or a generator), then ``min(per_network, remaining)`` of its
+        nodes are drawn without replacement from the same stream.  The
+        generator is lazy, so draws a caller makes from *rng* between
+        networks keep their place in the stream.
+        """
+        rng = as_generator(rng)
+        remaining = int(total)
+        while remaining > 0:
+            network = self.generate(rng)
+            take = min(int(per_network), remaining)
+            yield network, rng.choice(network.num_nodes, size=take, replace=False)
+            remaining -= take
 
     def knowledge(
         self,

@@ -7,6 +7,10 @@ every code path of the full-size paper configuration.
 
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -27,6 +31,23 @@ TEST_SIGMA = 40.0
 
 #: Sensors per group in the small test deployment.
 TEST_GROUP_SIZE = 30
+
+
+@pytest.fixture
+def spawn_pool(monkeypatch):
+    """Start :func:`~repro.experiments.sweep.fan_out`'s pools by ``spawn``.
+
+    Under Linux's default ``fork`` a worker inherits the fan-out state;
+    a spawned worker unpickles it, so this exercises the pickled transport.
+    """
+    from repro.experiments import sweep as sweep_module
+
+    context = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(
+        sweep_module,
+        "ProcessPoolExecutor",
+        partial(ProcessPoolExecutor, mp_context=context),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -118,19 +118,6 @@ class TestActiveGroupPruning:
         assert np.isfinite(radius)
         assert radius > small_knowledge.radio_range
 
-    def test_dense_deployment_prune_falls_back(self, small_knowledge):
-        """On the small deployment every group is within support of every
-        candidate, so the pruned batch kernel must return the dense result
-        bit for bit (it falls back rather than restrict)."""
-        rng = np.random.default_rng(17)
-        candidates = small_knowledge.region.sample_uniform(rng, 15)
-        observations = rng.integers(0, 4, size=(6, small_knowledge.n_groups))
-        dense = small_knowledge.log_likelihood_batch(candidates, observations)
-        pruned = small_knowledge.log_likelihood_batch(
-            candidates, observations, prune=True
-        )
-        np.testing.assert_array_equal(pruned, dense)
-
     def test_active_groups_single_point_promotion(self, small_knowledge):
         active = small_knowledge.active_groups([250.0, 250.0], radius=120.0)
         assert len(active) == 1
@@ -165,3 +152,59 @@ class TestActiveGroupPruning:
         np.testing.assert_array_equal(
             subset.view(np.int64), full[:, groups].view(np.int64)
         )
+
+
+class TestPickle:
+    """A pickled knowledge carries its model and table, not its caches."""
+
+    def test_pickle_leaves_caches_out_and_round_trips_bitwise(
+        self, small_generator, small_index
+    ):
+        import pickle
+
+        from repro.localization.beaconless import BeaconlessLocalizer
+
+        knowledge = small_generator.knowledge(omega=400)
+        fresh_bytes = len(pickle.dumps(knowledge))
+        observations = small_index.observations_of_nodes(np.arange(0, 750, 25))
+        BeaconlessLocalizer().localize_observations(knowledge, observations)
+
+        rng = np.random.default_rng(31)
+        locations = knowledge.region.sample_uniform(rng, 12)
+        lattice = np.stack(
+            np.meshgrid(np.arange(0.0, 501.0, 25.0), np.arange(0.0, 501.0, 25.0)),
+            axis=-1,
+        ).reshape(-1, 2)
+        covered = rng.random(lattice.shape[0]) < 0.5
+        rows = observations[:4]
+        centers = np.array([[120.0, 200.0], [260.0, 40.0], [400.0, 410.0], [0, 250]])
+        axes = [
+            (np.arange(x - 20.0, x + 21.0, 4.0), np.arange(y - 15.0, y + 16.0, 3.0))
+            for x, y in centers
+        ]
+        active = knowledge.active_groups(centers, radius=150.0)
+
+        def outputs(k):
+            return (
+                k.expected_observation(locations),
+                k.log_likelihood_lattice(lattice, covered, rows),
+                k.log_likelihood_grids(axes, rows, active),
+            )
+
+        expected = outputs(knowledge)
+        # The localization pass and the calls above built every cache...
+        assert knowledge._lattice_terms is not None
+        assert knowledge._group_tree is not None
+        assert knowledge._squared_distance_table is not None
+        payload = pickle.dumps(knowledge)
+        # ...and none of them travels with the pickle.
+        assert len(payload) <= fresh_bytes + 1024
+        clone = pickle.loads(payload)
+        assert not {
+            "_group_tree",
+            "_support_radius",
+            "_lattice_terms",
+            "_squared_distance_table",
+        } & set(vars(clone))
+        for got, want in zip(outputs(clone), expected):
+            np.testing.assert_array_equal(got, want)

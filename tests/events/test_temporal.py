@@ -11,6 +11,7 @@ The three contract guarantees under test:
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -256,6 +257,23 @@ class TestDeterminism:
                 attack_timeline, workers=2
             ).outcomes(points, false_positive_rate=0.05)
         assert serial == parallel
+
+    def test_serial_equals_spawned_workers(
+        self, tiny_session, attack_timeline, spawn_pool
+    ):
+        """Spawned workers unpickle the runner's state (world, knowledge,
+        timeline) and still reproduce the serial outcomes bit for bit."""
+        points = [POINT, replace(POINT, degree_of_damage=80.0)]
+        serial = tiny_session.temporal(attack_timeline).outcomes(
+            points, false_positive_rate=0.05
+        )
+        with warnings.catch_warnings():
+            # a fan-out fallback would hide a broken pickled transport
+            warnings.simplefilter("error")
+            spawned = tiny_session.temporal(attack_timeline, workers=2).outcomes(
+                points, false_positive_rate=0.05
+            )
+        assert spawned == serial
 
     def test_warm_equals_cold_and_resumes(
         self, tiny_config, attack_timeline, tmp_path

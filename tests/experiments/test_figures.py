@@ -6,6 +6,7 @@ check structure (panels/series/labels match the paper's figure layout)
 plus the coarse qualitative trends that survive small sample sizes.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -247,6 +248,18 @@ class TestFig9:
             for a, b in zip(panel_serial.series, panel_parallel.series):
                 assert a.label == b.label
                 assert a.y == b.y
+
+    def test_density_fan_out_under_spawn_matches_serial(self, tiny_config, spawn_pool):
+        """Spawned density workers pickle their tasks in and their outcomes
+        out; the figure still equals the serial render."""
+        spec = fig9.spec(
+            tiny_config, group_sizes=(40, 80), degrees=(160.0,), fractions=(0.1,)
+        )
+        serial = run_figure_spec(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spawned = run_figure_spec(spec, density_workers=2)
+        assert spawned.panels == serial.panels
 
     def test_density_fan_out_falls_back_serially(self, tiny_config, monkeypatch):
         from repro.experiments import sweep as sweep_module

@@ -10,10 +10,9 @@ through the store's per-category hit/miss counters.
 import numpy as np
 import pytest
 
-from repro.experiments import session as session_module
+from repro.experiments import sweep as sweep_module
 from repro.experiments.config import SimulationConfig
 from repro.experiments.scenario import ScenarioSpec
-from repro.experiments.session import LadSession
 from repro.experiments.store import ArtifactStore
 
 
@@ -44,7 +43,7 @@ class TestCrashResume:
     def _run_interrupted(self, spec, store_root, monkeypatch):
         """Run the sweep until the scorer dies after ``COMPLETED`` points."""
         calls = {"n": 0}
-        real = session_module.attacked_scores_from_observations
+        real = sweep_module.attacked_scores_from_observations
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
@@ -55,7 +54,7 @@ class TestCrashResume:
         partial = []
         with monkeypatch.context() as patch:
             patch.setattr(
-                session_module, "attacked_scores_from_observations", flaky
+                sweep_module, "attacked_scores_from_observations", flaky
             )
             crashing = spec.session(store=ArtifactStore(store_root))
             with pytest.raises(RuntimeError, match="simulated mid-sweep crash"):

@@ -3,7 +3,7 @@
 The fleet dispatch mode only works if (a) the partition itself is a real
 partition — disjoint slices whose union is the full grid, stable across
 hosts, re-runs and grid orderings — and (b) every execution topology
-(serial, shm pool, N shards merged through a shared store, interrupted and
+(serial, process pool, N shards merged through a shared store, interrupted and
 resumed shards) publishes bit-identical attacked scores and temporal
 records.  Both halves are pinned here: the partition properties with
 hypothesis over random grids, the topology invariance end to end on a
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.events import EventSpec, TimelineSpec
-from repro.experiments import session as session_module
+from repro.experiments import sweep as sweep_module
 from repro.experiments.config import SimulationConfig
 from repro.experiments.scenario import ScenarioSpec
 from repro.experiments.store import ArtifactStore
@@ -240,7 +240,7 @@ class TestTopologyInvariance:
         cache = tmp_path / "cache"
         completed = 1
         calls = {"n": 0}
-        real = session_module.attacked_scores_from_observations
+        real = sweep_module.attacked_scores_from_observations
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
@@ -250,7 +250,7 @@ class TestTopologyInvariance:
 
         with monkeypatch.context() as patch:
             patch.setattr(
-                session_module, "attacked_scores_from_observations", flaky
+                sweep_module, "attacked_scores_from_observations", flaky
             )
             crashing = tiny_spec.session(store=ArtifactStore(cache))
             with pytest.raises(RuntimeError, match="simulated mid-shard crash"):

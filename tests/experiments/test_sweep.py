@@ -1,5 +1,7 @@
 """Tests for :mod:`repro.experiments.sweep`."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,15 +48,29 @@ class TestGrid:
         assert point.stream_name() == "attack/diff/dec_only/120/0.25"
 
 
-def _square(task):
+def _square(_state, task):
     return task * task
 
 
+def _offset(state, task):
+    return state["offset"] + task
+
+
 class TestFanOut:
-    """The one process fan-out helper and its serial fallback."""
+    """The one fan-out contract: ``fn(state, task)`` serially or pooled."""
 
     def test_pool_results_come_back_in_task_order(self):
         assert list(fan_out(_square, range(6), 2)) == [0, 1, 4, 9, 16, 25]
+
+    def test_pooled_workers_receive_the_state(self):
+        """Every pooled task reads the state its worker received once, as
+        the serial run does in-process."""
+        state = {"offset": 100}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pooled = list(fan_out(_offset, range(5), 2, state=state))
+        assert pooled == list(fan_out(_offset, range(5), 0, state=state))
+        assert pooled == [100, 101, 102, 103, 104]
 
     def test_single_worker_never_starts_a_pool(self, monkeypatch, recwarn):
         from repro.experiments import sweep as sweep_module
@@ -68,7 +84,8 @@ class TestFanOut:
         self, monkeypatch, fails_after
     ):
         """A pool dying before its first result, or after k of them, hands
-        the rest to the serial path: one warning, task order, serial values."""
+        the rest to the in-process path: one warning, task order, and
+        in-process calls only for the tasks the pool never returned."""
         from concurrent.futures.process import BrokenProcessPool
 
         from repro.experiments import sweep as sweep_module
@@ -85,21 +102,21 @@ class TestFanOut:
 
             def map(self, fn, tasks):
                 for task in tasks[:fails_after]:
-                    yield fn(task)
+                    yield task * task
                 raise BrokenProcessPool("a worker died")
 
-        serial_tasks = []
+        in_process = []
 
-        def serial(task):
-            serial_tasks.append(task)
-            return _square(task)
+        def square(state, task):
+            in_process.append(task)
+            return _square(state, task)
 
         monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", DyingPool)
         with pytest.warns(RuntimeWarning) as record:
-            results = list(fan_out(_square, range(5), 2, serial=serial))
+            results = list(fan_out(square, range(5), 2))
         assert [w.category for w in record] == [RuntimeWarning]
         assert results == list(fan_out(_square, range(5), 0))
-        assert serial_tasks == list(range(fails_after, 5))
+        assert in_process == list(range(fails_after, 5))
 
 
 class TestSerialSweep:
@@ -158,17 +175,17 @@ class TestParallelSweep:
         for point in points:
             np.testing.assert_array_equal(serial[point], parallel[point])
 
-    def test_falls_back_to_serial_without_shared_memory(
+    def test_falls_back_to_serial_when_the_pool_fails_to_start(
         self, tiny_simulation, monkeypatch
     ):
-        """Platforms without fork/shared-memory support degrade to the
-        serial path with a warning instead of crashing mid-sweep."""
+        """Platforms without process pools degrade to the serial path with
+        a warning instead of crashing mid-sweep."""
         from repro.experiments import sweep as sweep_module
 
-        def broken_share(array):
-            raise OSError("shared memory unavailable on this platform")
+        def broken_pool(*args, **kwargs):
+            raise OSError("process pools unavailable on this platform")
 
-        monkeypatch.setattr(sweep_module, "_share_array", broken_share)
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", broken_pool)
         points = SweepRunner.grid(["diff"], ["dec_bounded"], [80.0], [0.1, 0.3])
         serial = tiny_simulation.sweep().attacked_scores(points)
         with pytest.warns(RuntimeWarning, match="falling back to the serial path"):
@@ -176,126 +193,72 @@ class TestParallelSweep:
         for point in points:
             np.testing.assert_array_equal(fallback[point], serial[point])
 
-    def test_shared_segments_are_released(self, tiny_simulation, monkeypatch):
-        """The parent unlinks every shared-memory segment it created, even
-        when a worker blows up mid-sweep."""
-        from repro.experiments import sweep as sweep_module
-
-        created = []
-        original = sweep_module._share_array
-
-        def tracking_share(array):
-            segment, meta = original(array)
-            created.append(segment)
-            return segment, meta
-
-        monkeypatch.setattr(sweep_module, "_share_array", tracking_share)
-        points = SweepRunner.grid(["diff"], ["dec_bounded"], [80.0], [0.1])
-        tiny_simulation.sweep(workers=2).attacked_scores(points)
-        # observations + locations + knowledge (lattice, g(z) knots, values)
-        assert len(created) == 5
-        for segment in created:
-            with pytest.raises(FileNotFoundError):
-                type(segment)(name=segment.name)
-
-
-class TestSharedKnowledge:
-    """The metadata-only pool payload and its worker-side rehydration."""
-
-    def test_share_parts_round_trip_is_bit_identical(self, tiny_simulation):
-        from repro.deployment.knowledge import DeploymentKnowledge
-
-        knowledge = tiny_simulation.knowledge
-        arrays, skeleton = knowledge.share_parts()
-        rebuilt = DeploymentKnowledge.from_share_parts(skeleton, arrays)
-        assert rebuilt.n_groups == knowledge.n_groups
-        assert rebuilt.group_size == knowledge.group_size
-        assert rebuilt.radio_range == knowledge.radio_range
-        assert rebuilt.support_radius == knowledge.support_radius
-        assert rebuilt.gz_table.omega == knowledge.gz_table.omega
-        assert rebuilt.gz_table.z_max == knowledge.gz_table.z_max
-        sample = tiny_simulation.victims()
-        locations = sample.actual_locations[:8]
-        np.testing.assert_array_equal(
-            rebuilt.expected_observation(locations),
-            knowledge.expected_observation(locations),
-        )
-        np.testing.assert_array_equal(
-            rebuilt.log_likelihood_batch(
-                locations, sample.observations[:8], prune=True
-            ),
-            knowledge.log_likelihood_batch(
-                locations, sample.observations[:8], prune=True
-            ),
-        )
-
-    def test_pool_payload_is_metadata_only(self, tiny_simulation):
-        """The pickled initializer payload must not carry the knowledge
-        arrays — they travel through shared memory."""
-        import pickle
-
-        runner = tiny_simulation.sweep(workers=2)
-        segments, payload = runner._pool_payload()
-        try:
-            assert "knowledge" not in payload
-            assert set(payload["shared_arrays"]) == {
-                "observations",
-                "locations",
-                "knowledge_points",
-                "knowledge_gz_knots",
-                "knowledge_gz_values",
-            }
-            payload_bytes = len(pickle.dumps(payload))
-            knowledge_bytes = len(pickle.dumps(tiny_simulation.knowledge))
-            assert payload_bytes < knowledge_bytes / 2
-        finally:
-            for segment in segments:
-                segment.close()
-                segment.unlink()
-
-    def test_worker_initializer_rebuilds_bit_identical_state(
-        self, tiny_simulation
+    def test_spawned_workers_reproduce_serial_results(
+        self, tiny_simulation, spawn_pool
     ):
-        """Running the real initializer + scorer in-process (attach, rebuild
-        knowledge from the shared arrays, score) reproduces the session's
-        own attacked scores bit for bit."""
-        import contextlib
+        """Under ``spawn`` each worker unpickles the sweep's state; the
+        scores still equal the serial run's bit for bit."""
+        points = SweepRunner.grid(["diff"], ["dec_bounded"], [80.0, 160.0], [0.1])
+        serial = tiny_simulation.sweep().attacked_scores(points)
+        with warnings.catch_warnings():
+            # a fan-out fallback would hide a broken pickled transport
+            warnings.simplefilter("error")
+            spawned = tiny_simulation.sweep(workers=2).attacked_scores(points)
+        for point in points:
+            np.testing.assert_array_equal(spawned[point], serial[point])
+
+
+class TestWorkerState:
+    """The state a pool worker installs, exercised in-process."""
+
+    def test_installed_state_reproduces_session_scores(self, tiny_simulation):
+        """Installing the sweep's state as a pool initializer does (after
+        the pickle round trip of a spawned worker) and calling the
+        per-point function through the worker entry reproduces
+        :meth:`LadSession.attacked_scores` bit for bit."""
         import pickle
 
         from repro.experiments import sweep as sweep_module
 
         runner = tiny_simulation.sweep(workers=2)
-        segments, payload = runner._pool_payload()
-        saved_state = dict(sweep_module._WORKER_STATE)
-        worker_segments = []
+        state = pickle.loads(pickle.dumps(runner._build_state()))
+        point = SweepPoint("diff", "dec_bounded", 80.0, 0.1)
+        saved = sweep_module._pool_state
         try:
-            sweep_module._WORKER_STATE.clear()
-            # Round-trip through pickle exactly as the pool initargs would.
-            sweep_module._init_worker(pickle.loads(pickle.dumps(payload)))
-            worker_segments = sweep_module._WORKER_STATE.get(
-                "_shared_segments", []
-            )
-            point = SweepPoint("diff", "dec_bounded", 80.0, 0.1)
-            scores = sweep_module._score_point(point)
-            expected = tiny_simulation.attacked_scores(
-                point.metric,
-                point.attack,
-                degree_of_damage=point.degree_of_damage,
-                compromised_fraction=point.compromised_fraction,
-            )
-            np.testing.assert_array_equal(scores, expected)
+            sweep_module._install_state(state)
+            arrays = sweep_module._call_with_state(runner.compute, point)
         finally:
-            sweep_module._WORKER_STATE.clear()
-            sweep_module._WORKER_STATE.update(saved_state)
-            for segment in worker_segments:
-                # The attached views were dropped with the state dict; a
-                # lingering export would raise BufferError, which only
-                # means the GC has not collected them yet.
-                with contextlib.suppress(BufferError):
-                    segment.close()
-            for segment in segments:
-                segment.close()
-                segment.unlink()
+            sweep_module._install_state(saved)
+        expected = tiny_simulation.attacked_scores(
+            point.metric,
+            point.attack,
+            degree_of_damage=point.degree_of_damage,
+            compromised_fraction=point.compromised_fraction,
+        )
+        np.testing.assert_array_equal(arrays["scores"], expected)
+
+    def test_warm_grid_builds_no_state(self, tmp_path):
+        """A fully warm grid computes nothing: it builds no state and so
+        loads no victims artifact."""
+        from repro.experiments.store import ArtifactStore
+
+        config = SimulationConfig(
+            group_size=40,
+            num_training_samples=30,
+            training_samples_per_network=15,
+            num_victims=30,
+            victims_per_network=15,
+            gz_omega=300,
+            seed=777,
+        )
+        points = SweepRunner.grid(["diff"], ["dec_bounded"], [80.0], [0.1, 0.3])
+        LadSession(config, store=tmp_path).sweep().attacked_scores(points)
+        store = ArtifactStore(tmp_path)
+        runner = LadSession(config, store=store).sweep(workers=2)
+        runner.attacked_scores(points)
+        assert runner._state is None
+        assert store.hit_counts == {"attacked_scores": len(points)}
+        assert not store.miss_counts
 
 
 class TestFigureIntegration:

@@ -93,14 +93,6 @@ class TestSupportRadius:
 
 
 class TestPrunedKernels:
-    def test_pruned_batch_matches_dense(self, wide_knowledge, wide_observations):
-        rng = np.random.default_rng(5)
-        candidates = rng.uniform(300.0, 700.0, size=(40, 2))
-        obs = wide_observations[:12]
-        dense = wide_knowledge.log_likelihood_batch(candidates, obs)
-        pruned = wide_knowledge.log_likelihood_batch(candidates, obs, prune=True)
-        np.testing.assert_allclose(pruned, dense, rtol=1e-9, atol=1e-9)
-
     def test_pruned_segmented_matches_dense(self, wide_knowledge, wide_observations):
         rng = np.random.default_rng(6)
         obs = wide_observations[:5]

@@ -46,6 +46,37 @@ class TestNetworkGenerator:
         assert gen.model.region.contains(net.positions).all()
 
 
+class TestSampleNodes:
+    def test_draws_per_network_then_the_remainder(self, small_generator):
+        draws = list(small_generator.sample_nodes(np.random.default_rng(5), 70, 30))
+        assert [nodes.size for _, nodes in draws] == [30, 30, 10]
+        for network, nodes in draws:
+            assert np.unique(nodes).size == nodes.size
+            assert nodes.max() < network.num_nodes
+
+    def test_lazy_draws_keep_the_callers_place_in_the_stream(self, small_generator):
+        """A caller drawing between networks sees the stream of the
+        hand-written loop: deploy, draw nodes, the caller's draw, repeat."""
+        rng = np.random.default_rng(9)
+        lazy = []
+        for network, nodes in small_generator.sample_nodes(rng, 50, 20):
+            lazy.append((network.positions, nodes, rng.normal()))
+        rng = np.random.default_rng(9)
+        loop = []
+        remaining = 50
+        while remaining > 0:
+            network = small_generator.generate(rng)
+            take = min(20, remaining)
+            nodes = rng.choice(network.num_nodes, size=take, replace=False)
+            loop.append((network.positions, nodes, rng.normal()))
+            remaining -= take
+        assert len(lazy) == len(loop) == 3
+        for (pos_a, nodes_a, draw_a), (pos_b, nodes_b, draw_b) in zip(lazy, loop):
+            np.testing.assert_array_equal(pos_a, pos_b)
+            np.testing.assert_array_equal(nodes_a, nodes_b)
+            assert draw_a == draw_b
+
+
 class TestGenerateNetworkHelper:
     def test_returns_matching_pair(self):
         network, knowledge = generate_network(group_size=5, rng=3)
