@@ -26,8 +26,8 @@ The package is organised bottom-up:
   (``DetectionService`` vectorised claim verification, the asyncio
   micro-batching runtime with backpressure, JSONL transports and the
   load generator behind ``lad-repro serve`` / ``lad-repro loadgen``);
-* :mod:`repro.applications` — motivating applications (geographic routing,
-  surveillance, coverage) used by the examples.
+* :mod:`repro.applications` — motivating applications (geographic routing
+  and surveillance) used by the examples.
 
 Pluggable component families (metrics, attack classes, deployment models,
 localizers, array backends) are published through :class:`repro.registry.Registry`

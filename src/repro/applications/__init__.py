@@ -17,7 +17,6 @@ from repro.applications.surveillance import (
     EventReport,
     ReportingStats,
 )
-from repro.applications.coverage import coverage_fraction, coverage_map
 
 __all__ = [
     "GreedyGeographicRouter",
@@ -26,6 +25,4 @@ __all__ = [
     "SurveillanceField",
     "EventReport",
     "ReportingStats",
-    "coverage_fraction",
-    "coverage_map",
 ]

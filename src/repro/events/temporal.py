@@ -33,9 +33,9 @@ Determinism contract (the same one the sweep honours):
   :func:`~repro.experiments.sweep.fan_out`), so they are identical by
   construction;
 * cold results are persisted per point under
-  :meth:`LadSession.temporal_key` (the attacked fingerprint plus the
-  timeline fingerprint) by the sweep's store loop, so interrupted temporal
-  sweeps resume without recomputing finished points.
+  :meth:`LadSession.temporal_fingerprint` (the attacked fingerprint plus
+  the timeline fingerprint) by the sweep's store loop, so interrupted
+  temporal sweeps resume without recomputing finished points.
 """
 
 from __future__ import annotations
@@ -295,9 +295,9 @@ def _simulate_point(
 
     Degeneracy: with an empty timeline the single epoch scores all victims
     through :func:`attacked_scores_from_observations` under the point's own
-    stream — the exact call of :meth:`LadSession.attacked_scores`
-    — so the temporal engine reproduces the static attacked scores bit for
-    bit.
+    stream — the call of the sweep's ``_score_point``, which
+    :meth:`LadSession.attacked_scores` reads — so the temporal engine
+    reproduces the static attacked scores bit for bit.
     """
     world = world_base.copy()
     metric = resolve_metric(point.metric)
@@ -629,10 +629,11 @@ class TemporalRunner(CachedGrid):
     The temporal sibling of
     :class:`~repro.experiments.sweep.SweepRunner`, on the same
     :class:`~repro.experiments.sweep.CachedGrid` store loop: store
-    category ``"temporal"`` keyed by :meth:`LadSession.temporal_key`, the
-    same warm/cold partition, ``shard=`` slices and :meth:`progress`, the
-    same worker pool with the bit-identical serial fallback, and the same
-    streaming iteration order.  Obtained via :meth:`LadSession.temporal`.
+    category ``"temporal"`` keyed by :meth:`LadSession.temporal_fingerprint`,
+    the same warm/cold partition, ``shard=`` slices and :meth:`progress`,
+    the same worker pool with the bit-identical serial fallback, and the
+    same streaming iteration order.  Obtained via
+    :meth:`LadSession.temporal`.
     """
 
     category = "temporal"
@@ -653,18 +654,9 @@ class TemporalRunner(CachedGrid):
         """The timeline every point is run through."""
         return self._timeline
 
-    def keys(self, points: Sequence[SweepPoint]) -> List[str]:
-        """Temporal store keys of *points* under this timeline, in grid order."""
-        return [
-            self._session.temporal_key(
-                point.metric,
-                point.attack,
-                degree_of_damage=point.degree_of_damage,
-                compromised_fraction=point.compromised_fraction,
-                timeline=self._timeline,
-            )
-            for point in points
-        ]
+    def fingerprint(self, point: SweepPoint) -> Dict[str, object]:
+        """See :meth:`LadSession.temporal_fingerprint` (under this timeline)."""
+        return self._session.temporal_fingerprint(point, self._timeline)
 
     def run(
         self, point: SweepPoint, *, false_positive_rate: float = 0.01

@@ -23,15 +23,23 @@ Two kinds of reuse stack on top of the in-memory caches:
   :class:`~repro.experiments.sweep.SweepRunner`, which fans the
   per-combination scoring across worker processes while every combination
   keeps its name-derived random stream (a parallel sweep reproduces the
-  serial one exactly);
+  serial one exactly).  The per-point methods (:meth:`attacked_scores`,
+  :meth:`roc`, :meth:`outcome`) are one-point reads of that runner, so a
+  point is attacked, scored and keyed one way only;
 * **persistence** — when constructed with a
   :class:`~repro.experiments.store.ArtifactStore` (or ``--cache-dir`` on
   the CLI), trained benign scores and victim samples are keyed by a
   content hash of the training-relevant configuration and re-loaded from
   disk, so repeated and resumed sweeps skip the training pass entirely;
-  attacked scores are additionally persisted *per sweep point* (keyed by
-  :meth:`attacked_fingerprint`), so an interrupted sweep resumed with the
-  same cache directory recomputes only the points that never finished.
+  the sweep's store loop also persists attacked scores *per sweep point*
+  (keyed by :meth:`attacked_fingerprint`), so an interrupted sweep resumed
+  with the same cache directory recomputes only the points that never
+  finished.
+
+A :class:`~repro.experiments.sweep.SweepPoint` keeps component *names*, so
+every metric and attack class the session is given resolves to its
+registered name first; an instance that is not the component registered
+under its name raises ``ValueError`` (register it to evaluate it).
 
 Sessions are usually built from a declarative
 :class:`~repro.experiments.scenario.ScenarioSpec`.  Beacon-based
@@ -46,17 +54,14 @@ beacon fingerprint so warm caches never alias across schemes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.evaluation import (
-    DetectionOutcome,
-    attacked_scores_from_observations,
-    evaluate_detection,
-)
-from repro.core.metrics import AnomalyMetric, resolve_metric
-from repro.core.roc import RocCurve, compute_roc
+from repro.attacks.constraints import ATTACKS, AttackClass, resolve_attack_class
+from repro.core.evaluation import DetectionOutcome
+from repro.core.metrics import METRICS, AnomalyMetric, resolve_metric
+from repro.core.roc import RocCurve
 from repro.backend import ArrayBackend, BackendSpec
 from repro.core.training import TrainingData, benign_scores, collect_training_data
 from repro.deployment.distributions import GaussianResidentDistribution
@@ -64,6 +69,7 @@ from repro.deployment.knowledge import DeploymentKnowledge
 from repro.deployment.models import GridDeploymentModel
 from repro.experiments.config import SimulationConfig
 from repro.experiments.store import ArtifactStore, fingerprint_key
+from repro.experiments.sweep import SweepPoint, SweepRunner
 from repro.localization.apit import ApitLocalizer
 from repro.localization.base import (
     LOCALIZERS,
@@ -78,9 +84,6 @@ from repro.network.radio import UnitDiskRadio
 from repro.types import Region
 from repro.utils.logging import get_logger
 from repro.utils.rng import RandomState
-
-if TYPE_CHECKING:  # pragma: no cover - imported for type checkers only
-    from repro.experiments.sweep import SweepRunner
 
 __all__ = ["LadSession"]
 
@@ -115,8 +118,8 @@ class LadSession:
         sweeps place the same beacons.
     store:
         Optional :class:`~repro.experiments.store.ArtifactStore` (or a
-        cache-directory path) persisting trained benign scores and victim
-        samples across sessions.
+        cache-directory path) persisting trained benign scores, victim
+        samples and per-point attacked scores across sessions.
 
     Examples
     --------
@@ -351,14 +354,7 @@ class LadSession:
             f":{component!r}"
         )
 
-    def attacked_fingerprint(
-        self,
-        metric: Union[str, AnomalyMetric],
-        attack_class: str,
-        *,
-        degree_of_damage: float,
-        compromised_fraction: float,
-    ) -> Dict[str, object]:
+    def attacked_fingerprint(self, point: SweepPoint) -> Dict[str, object]:
         """Everything one sweep point's attacked scores depend on.
 
         Builds on :meth:`victims_fingerprint` (the honest observations)
@@ -367,14 +363,13 @@ class LadSession:
         the beacon fingerprint ride along too, so a sweep point scored
         under one localization scheme is never served to another — warm
         caches cannot alias across schemes.  The per-point random stream
-        is derived from the seed (already fingerprinted) and the parameter
-        names, so two runs with equal fingerprints produce bit-identical
-        scores regardless of which other points ran alongside them.
+        (:meth:`SweepPoint.stream_name`) is derived from the seed (already
+        fingerprinted) and the same registered names, so two runs with
+        equal fingerprints produce bit-identical scores regardless of which
+        other points ran alongside them.
         """
-        from repro.attacks.constraints import resolve_attack_class
-
-        metric = resolve_metric(metric)
-        attack = resolve_attack_class(attack_class)
+        metric = resolve_metric(point.metric)
+        attack = resolve_attack_class(point.attack)
         fingerprint = self.victims_fingerprint()
         fingerprint.update(
             {
@@ -383,8 +378,8 @@ class LadSession:
                 "metric_impl": self._impl_identity(metric),
                 "attack": attack.name,
                 "attack_impl": self._impl_identity(attack),
-                "degree_of_damage": float(degree_of_damage),
-                "compromised_fraction": float(compromised_fraction),
+                "degree_of_damage": float(point.degree_of_damage),
+                "compromised_fraction": float(point.compromised_fraction),
                 "localizer": repr(self._localizer),
                 "beacons": self._beacon_fingerprint(),
             }
@@ -394,50 +389,7 @@ class LadSession:
             fingerprint["backend"] = backend
         return fingerprint
 
-    def attacked_scores_key(
-        self,
-        metric: Union[str, AnomalyMetric],
-        attack_class: str,
-        *,
-        degree_of_damage: float,
-        compromised_fraction: float,
-    ) -> str:
-        """Content key of one sweep point's attacked scores."""
-        return fingerprint_key(
-            self.attacked_fingerprint(
-                metric,
-                attack_class,
-                degree_of_damage=degree_of_damage,
-                compromised_fraction=compromised_fraction,
-            )
-        )
-
-    def attacked_scores_keys(self, points) -> List[str]:
-        """Content keys of a whole grid of sweep points, in grid order.
-
-        One :meth:`attacked_scores_key` per point — the sweep runner, the
-        ``--status`` progress count and the finishing-shard completeness
-        check all derive point identity through this single path.
-        """
-        return [
-            self.attacked_scores_key(
-                point.metric,
-                point.attack,
-                degree_of_damage=point.degree_of_damage,
-                compromised_fraction=point.compromised_fraction,
-            )
-            for point in points
-        ]
-
-    def temporal_fingerprint(
-        self,
-        metric: Union[str, AnomalyMetric],
-        attack_class: str,
-        *,
-        degree_of_damage: float,
-        compromised_fraction: float,
-        timeline,
-    ) -> Dict[str, object]:
+    def temporal_fingerprint(self, point: SweepPoint, timeline) -> Dict[str, object]:
         """Everything one point's temporal epoch record depends on.
 
         The attacked fingerprint (victims, metric/attack identities,
@@ -449,35 +401,46 @@ class LadSession:
         deliberately excluded: the stored record is the raw per-epoch
         score matrix, and thresholds are applied at load time.
         """
-        fingerprint = self.attacked_fingerprint(
-            metric,
-            attack_class,
-            degree_of_damage=degree_of_damage,
-            compromised_fraction=compromised_fraction,
-        )
+        fingerprint = self.attacked_fingerprint(point)
         fingerprint["temporal_version"] = 1
         fingerprint["timeline"] = timeline.fingerprint()
         return fingerprint
 
-    def temporal_key(
+    @classmethod
+    def _registered(cls, registry, component) -> str:
+        """*component* as a name: names pass, an instance gives its own.
+
+        A :class:`SweepPoint` keeps names only, so an instance must be
+        interchangeable with the one *registry* builds under its name —
+        same class and ``repr``, hence the same artifact keys — or it
+        would silently be evaluated as that registered component instead.
+        """
+        if isinstance(component, str):
+            return component
+        stock = registry.resolve(component.name)
+        if cls._impl_identity(component) != cls._impl_identity(stock):
+            raise ValueError(
+                f"{component!r} is not the component registered as "
+                f"{stock.name!r} ({stock!r}); register it under its own "
+                "name to evaluate it"
+            )
+        return stock.name
+
+    def _point(
         self,
         metric: Union[str, AnomalyMetric],
-        attack_class: str,
-        *,
+        attack_class: Union[str, AttackClass],
         degree_of_damage: float,
         compromised_fraction: float,
-        timeline,
-    ) -> str:
-        """Content key of one point's temporal epoch record."""
-        return fingerprint_key(
-            self.temporal_fingerprint(
-                metric,
-                attack_class,
-                degree_of_damage=degree_of_damage,
-                compromised_fraction=compromised_fraction,
-                timeline=timeline,
-            )
+    ) -> SweepPoint:
+        """The sweep point of one combination, under registered names."""
+        (point,) = SweepRunner.grid(
+            [self._registered(METRICS, metric)],
+            [self._registered(ATTACKS, attack_class)],
+            [degree_of_damage],
+            [compromised_fraction],
         )
+        return point
 
     @property
     def training_data(self) -> TrainingData:
@@ -514,7 +477,7 @@ class LadSession:
         serving layer probes this key to decide whether a store is warm
         enough to start without a training pass.
         """
-        metric = resolve_metric(metric)
+        metric = resolve_metric(self._registered(METRICS, metric))
         fingerprint = self.training_fingerprint()
         fingerprint["metric"] = metric.name
         fingerprint["metric_impl"] = self._impl_identity(metric)
@@ -525,9 +488,11 @@ class LadSession:
 
         Cached per metric in memory and — when a store is attached —
         persisted under the training fingerprint, so a warm cache serves
-        the scores without ever collecting training data.
+        the scores without ever collecting training data.  Only registered
+        metrics reach either cache (see :meth:`_registered`), so the name
+        is a sound in-memory key.
         """
-        metric = resolve_metric(metric)
+        metric = resolve_metric(self._registered(METRICS, metric))
         if metric.name not in self._benign_scores:
             key = None
             if self._store is not None:
@@ -587,57 +552,28 @@ class LadSession:
     def attacked_scores(
         self,
         metric: Union[str, AnomalyMetric],
-        attack_class: str,
+        attack_class: Union[str, AttackClass],
         *,
         degree_of_damage: float,
         compromised_fraction: float,
     ) -> np.ndarray:
         """Attacked anomaly scores for one parameter combination.
 
-        When a store is attached the scores are persisted per point under
-        :meth:`attacked_fingerprint`, so a resumed sweep recomputes only
-        the points that never finished — bit-identical to a cold run,
-        because every point's random stream is derived from the seed and
-        the parameter names alone.
+        A one-point read of :meth:`sweep`: the scores come from (and, when
+        a store is attached, persist under) the sweep's per-point store
+        loop, so a resumed sweep recomputes only the points that never
+        finished — bit-identical to a cold run, because every point's
+        random stream is derived from the seed and the registered names.
         """
-        from repro.experiments.sweep import attack_stream_name
-
-        key = None
-        if self._store is not None:
-            key = self.attacked_scores_key(
-                metric,
-                attack_class,
-                degree_of_damage=degree_of_damage,
-                compromised_fraction=compromised_fraction,
-            )
-            cached = self._store.load("attacked_scores", key)
-            if cached is not None:
-                return cached["scores"]
-        sample = self.victims()
-        rng = self._random.stream(
-            attack_stream_name(
-                metric, attack_class, degree_of_damage, compromised_fraction
-            )
+        point = self._point(
+            metric, attack_class, degree_of_damage, compromised_fraction
         )
-        scores = attacked_scores_from_observations(
-            self.knowledge,
-            sample.observations,
-            sample.actual_locations,
-            metric=metric,
-            attack_class=attack_class,
-            degree_of_damage=degree_of_damage,
-            compromised_fraction=compromised_fraction,
-            rng=rng,
-            localizer=self._localizer,
-        )
-        if self._store is not None and key is not None:
-            self._store.save("attacked_scores", key, scores=scores)
-        return scores
+        return self.sweep().attacked_scores([point])[point]
 
     def attacked_claims(
         self,
         metric: Union[str, AnomalyMetric],
-        attack_class: str,
+        attack_class: Union[str, AttackClass],
         *,
         degree_of_damage: float,
         compromised_fraction: float,
@@ -646,33 +582,29 @@ class LadSession:
 
         One :class:`~repro.serving.LocationClaim` per evaluation victim:
         the tainted observation plus the spoofed claimed location the
-        compromised node would submit.  Drawn from the *same* random
-        stream as :meth:`attacked_scores`, so a
+        compromised node would submit.  Drawn from the *same* point and
+        random stream as :meth:`attacked_scores`, so a
         :class:`~repro.serving.DetectionService` built from this session
         scores these claims bit-identically to the offline attacked
         scores — ``lad-repro demo`` and the serving equivalence tests
         rely on this.
         """
         from repro.core.evaluation import attack_observations
-        from repro.experiments.sweep import attack_stream_name
         from repro.serving.claims import LocationClaim
 
-        metric = resolve_metric(metric)
-        sample = self.victims()
-        rng = self._random.stream(
-            attack_stream_name(
-                metric, attack_class, degree_of_damage, compromised_fraction
-            )
+        point = self._point(
+            metric, attack_class, degree_of_damage, compromised_fraction
         )
+        sample = self.victims()
         tainted, spoofed, _ = attack_observations(
             self.knowledge,
             sample.observations,
             sample.actual_locations,
-            metric=metric,
-            attack_class=attack_class,
-            degree_of_damage=degree_of_damage,
-            compromised_fraction=compromised_fraction,
-            rng=rng,
+            metric=point.metric,
+            attack_class=point.attack,
+            degree_of_damage=point.degree_of_damage,
+            compromised_fraction=point.compromised_fraction,
+            rng=self._random.stream(point.stream_name()),
             localizer=self._localizer,
         )
         return [
@@ -680,7 +612,7 @@ class LadSession:
                 observation=tainted[i],
                 claimed_location=spoofed[i],
                 claim_id=f"victim-{i}",
-                metric=metric.name,
+                metric=point.metric,
             )
             for i in range(tainted.shape[0])
         ]
@@ -688,21 +620,17 @@ class LadSession:
     def roc(
         self,
         metric: Union[str, AnomalyMetric],
-        attack_class: str,
+        attack_class: Union[str, AttackClass],
         *,
         degree_of_damage: float,
         compromised_fraction: float,
         num_thresholds: Optional[int] = None,
     ) -> RocCurve:
         """ROC curve for one parameter combination (Figures 4–6)."""
-        benign = self.benign_scores(metric)
-        attacked = self.attacked_scores(
-            metric,
-            attack_class,
-            degree_of_damage=degree_of_damage,
-            compromised_fraction=compromised_fraction,
+        point = self._point(
+            metric, attack_class, degree_of_damage, compromised_fraction
         )
-        return compute_roc(benign, attacked, num_thresholds=num_thresholds)
+        return self.sweep().rocs([point], num_thresholds=num_thresholds)[point]
 
     def threshold(
         self,
@@ -727,7 +655,7 @@ class LadSession:
     def outcome(
         self,
         metric: Union[str, AnomalyMetric],
-        attack_class: str,
+        attack_class: Union[str, AttackClass],
         *,
         degree_of_damage: float,
         compromised_fraction: float,
@@ -742,19 +670,12 @@ class LadSession:
         :meth:`DetectionOutcome.verdicts` — the same per-decision type the
         streaming service emits.
         """
-        benign = self.benign_scores(metric)
-        attacked = self.attacked_scores(
-            metric,
-            attack_class,
-            degree_of_damage=degree_of_damage,
-            compromised_fraction=compromised_fraction,
+        point = self._point(
+            metric, attack_class, degree_of_damage, compromised_fraction
         )
-        return evaluate_detection(
-            benign,
-            attacked,
-            false_positive_rate=false_positive_rate,
-            metric=metric,
-        )
+        return self.sweep().detection_rates(
+            [point], false_positive_rate=false_positive_rate
+        )[point]
 
     def service(
         self,
@@ -781,7 +702,7 @@ class LadSession:
             require_warm=require_warm,
         )
 
-    def sweep(self, *, workers: int = 0) -> "SweepRunner":
+    def sweep(self, *, workers: int = 0) -> SweepRunner:
         """A :class:`~repro.experiments.sweep.SweepRunner` over this session.
 
         Parameters
@@ -790,8 +711,6 @@ class LadSession:
             Worker processes for the per-combination scoring; ``0``/``1``
             runs serially with identical results.
         """
-        from repro.experiments.sweep import SweepRunner
-
         return SweepRunner(self, workers=workers)
 
     def temporal(self, timeline=None, *, workers: int = 0):

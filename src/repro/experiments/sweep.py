@@ -19,10 +19,11 @@ once:
   through the one per-point function :func:`_score_point`, in-process or
   in a pool worker that received the dict once;
 * the per-combination random streams are derived from the session seed
-  and the combination *name* (:func:`attack_stream_name`), so a parallel
-  sweep reproduces the serial one — and therefore
-  :meth:`LadSession.attacked_scores` — bit for bit, regardless of
-  scheduling order.
+  and the combination *name* (:meth:`SweepPoint.stream_name`), so a
+  parallel sweep reproduces the serial one bit for bit, regardless of
+  scheduling order.  :meth:`LadSession.attacked_scores`, ``roc`` and
+  ``outcome`` are one-point reads of this runner, so :func:`_score_point`
+  is the only code that attacks and scores a point.
 
 Platforms without working process pools (some sandboxes and embedded
 interpreters) degrade gracefully: the runner emits a ``RuntimeWarning``
@@ -32,10 +33,10 @@ mid-sweep.
 :class:`CachedGrid` is the one store loop under both runners: the sweep
 (category ``attacked_scores``) and the temporal runner
 (:mod:`repro.events.temporal`, category ``temporal``) each name their
-category and supply per-point keys, one per-point function and its state,
-and inherit the warm/cold partition, ``shard=``, the cold-point fan-out and
-:meth:`~CachedGrid.progress`.  A point's ``.npz`` in the store is its only
-progress record.
+category and supply a per-point fingerprint, one per-point function and its
+state, and inherit the store keys, the warm/cold partition, ``shard=``, the
+cold-point fan-out and :meth:`~CachedGrid.progress`.  A point's ``.npz`` in
+the store is its only progress record.
 
 :func:`fan_out` is the one fan-out contract and the only process pool of
 the package: every task runs ``fn(state, task)``, so serial and pooled runs
@@ -72,6 +73,7 @@ from typing import (
 
 import numpy as np
 
+from repro.attacks.constraints import AttackClass, resolve_attack_class
 from repro.core.evaluation import (
     DetectionOutcome,
     attacked_scores_from_observations,
@@ -79,6 +81,7 @@ from repro.core.evaluation import (
 )
 from repro.core.metrics import AnomalyMetric, resolve_metric
 from repro.core.roc import RocCurve, compute_roc
+from repro.experiments.store import fingerprint_key
 from repro.utils.rng import RandomState
 
 if TYPE_CHECKING:  # pragma: no cover - imported for type checkers only
@@ -90,7 +93,6 @@ __all__ = [
     "SweepPoint",
     "SweepProgress",
     "SweepRunner",
-    "attack_stream_name",
     "fan_out",
     "shard_of_point",
     "shard_points",
@@ -99,25 +101,6 @@ __all__ = [
 S = TypeVar("S")
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-def attack_stream_name(
-    metric: Union[str, AnomalyMetric],
-    attack_class: str,
-    degree_of_damage: float,
-    compromised_fraction: float,
-) -> str:
-    """Name of the random stream for one attack parameter combination.
-
-    Shared by :meth:`LadSession.attacked_scores` and the sweep workers:
-    because :meth:`~repro.utils.rng.RandomState.stream` derives its
-    generator from ``(seed, name)`` alone, any evaluation path that uses the
-    same name reproduces the same attack randomness.
-    """
-    return (
-        f"attack/{resolve_metric(metric).name}/{attack_class}/"
-        f"{degree_of_damage:g}/{compromised_fraction:g}"
-    )
 
 
 @dataclass(frozen=True)
@@ -130,9 +113,18 @@ class SweepPoint:
     compromised_fraction: float
 
     def stream_name(self) -> str:
-        """Random-stream name of this combination."""
-        return attack_stream_name(
-            self.metric, self.attack, self.degree_of_damage, self.compromised_fraction
+        """Name of this combination's random stream.
+
+        Spelled from the registered names, as the point's store key is, so
+        ``"Dec-Bounded"`` and ``"dec_bounded"`` draw the same randomness.
+        :meth:`~repro.utils.rng.RandomState.stream` derives its generator
+        from ``(seed, name)`` alone, so every path that scores the point
+        reproduces the same attack.
+        """
+        return (
+            f"attack/{resolve_metric(self.metric).name}/"
+            f"{resolve_attack_class(self.attack).name}/"
+            f"{self.degree_of_damage:g}/{self.compromised_fraction:g}"
         )
 
 
@@ -248,9 +240,8 @@ class LocalizerModalities:
 def _score_point(state: dict, point: SweepPoint) -> Dict[str, np.ndarray]:
     """Attacked scores of one combination, from :meth:`SweepRunner._build_state`.
 
-    The call of :meth:`LadSession.attacked_scores`, under the
-    point's own stream, so the scores equal
-    :meth:`LadSession.attacked_scores` bit for bit.
+    The only code that attacks and scores a point: the greedy adversary
+    under the point's own stream, then the metric.
     """
     scores = attacked_scores_from_observations(
         state["knowledge"],
@@ -289,7 +280,8 @@ class CachedGrid:
     nothing else records progress.  A subclass names its :attr:`category`
     and supplies:
 
-    * ``keys(points)`` — the points' store keys, in grid order;
+    * ``fingerprint(point)`` — everything the point's artifact depends on;
+      :meth:`keys` hashes it;
     * :attr:`compute` — the module-level ``compute(state, point)`` giving
       the named arrays the store persists for one point;
     * ``_build_state()`` — the one state dict every point reads.
@@ -327,6 +319,14 @@ class CachedGrid:
         return LocalizerModalities(
             modalities=tuple(localizer.modalities), name=localizer.name
         )
+
+    def keys(self, points: Sequence[SweepPoint]) -> List[str]:
+        """Store keys of *points*, in grid order: one per ``fingerprint``.
+
+        The runner, ``--status`` and the finishing-shard completeness check
+        all derive a point's identity here.
+        """
+        return [fingerprint_key(self.fingerprint(point)) for point in points]
 
     def progress(self, points: Sequence[SweepPoint]) -> SweepProgress:
         """How many of *points* have this category's artifact in the store.
@@ -428,23 +428,26 @@ class SweepRunner(CachedGrid):
     @staticmethod
     def grid(
         metrics: Iterable[Union[str, AnomalyMetric]],
-        attacks: Iterable[str],
+        attacks: Iterable[Union[str, AttackClass]],
         degrees: Iterable[float],
         fractions: Iterable[float],
     ) -> List[SweepPoint]:
-        """The cartesian product of the given parameter axes."""
+        """The cartesian product of the given axes, under registered names."""
         return [
             SweepPoint(
-                resolve_metric(metric).name, attack, float(degree), float(fraction)
+                resolve_metric(metric).name,
+                resolve_attack_class(attack).name,
+                float(degree),
+                float(fraction),
             )
             for metric, attack, degree, fraction in itertools.product(
                 metrics, attacks, degrees, fractions
             )
         ]
 
-    def keys(self, points: Sequence[SweepPoint]) -> List[str]:
-        """Attacked-score store keys of *points*, in grid order."""
-        return self._session.attacked_scores_keys(points)
+    def fingerprint(self, point: SweepPoint) -> Dict[str, object]:
+        """See :meth:`LadSession.attacked_fingerprint`."""
+        return self._session.attacked_fingerprint(point)
 
     def attacked_scores(
         self,
@@ -452,13 +455,7 @@ class SweepRunner(CachedGrid):
         *,
         shard: Optional[Tuple[int, int]] = None,
     ) -> Dict[SweepPoint, np.ndarray]:
-        """Attacked score samples for every sweep point.
-
-        With ``workers > 1`` the grid is fanned over a process pool (see
-        :func:`fan_out`); on platforms where that is impossible the sweep
-        falls back to the serial path (identical results) with a
-        :class:`RuntimeWarning`.
-        """
+        """Attacked score samples for every point (see :meth:`iter_attacked_scores`)."""
         return dict(self.iter_attacked_scores(points, shard=shard))
 
     def iter_attacked_scores(
@@ -479,9 +476,8 @@ class SweepRunner(CachedGrid):
         Each point's random stream derives from the seed and parameter names
         alone, so a resumed sweep reproduces an uninterrupted cold run bit
         for bit.  With ``workers > 1`` the pool's results are consumed
-        lazily, so scoring and downstream reporting overlap; when fan-out is
-        unavailable (or a pool dies mid-sweep) the remaining points continue
-        on the bit-identical serial path after a :class:`RuntimeWarning`.
+        lazily, so scoring and downstream reporting overlap (see
+        :func:`fan_out` for the serial fallback).
         """
         for point, arrays in self._iter_arrays(points, shard=shard):
             yield point, arrays["scores"]
@@ -544,8 +540,8 @@ class SweepRunner(CachedGrid):
         """Stream ``(point, DetectionOutcome)`` pairs in grid order.
 
         The streaming form of :meth:`detection_rates` used by the CLI
-        ``sweep`` subcommand; thresholds are trained (or served from the
-        session's artifact store) before the first point is scored.
+        ``sweep`` subcommand; each metric's threshold is trained (or served
+        from the session's artifact store) when its first point arrives.
         *shard* restricts the stream to one slice of the grid (see
         :meth:`iter_attacked_scores`).
         """

@@ -23,6 +23,7 @@ from repro.experiments.config import SimulationConfig
 from repro.experiments.scenario import ScenarioSpec
 from repro.experiments.session import LadSession
 from repro.experiments.store import ArtifactStore
+from repro.experiments.sweep import SweepRunner
 from repro.localization.beacons import BeaconSpec
 from repro.localization.beaconless import BeaconlessLocalizer
 
@@ -156,13 +157,8 @@ class TestCacheAliasing:
             reference.training_fingerprint()
             == explicit.training_fingerprint()
         )
-        assert reference.attacked_scores_key(
-            "diff", "dec_bounded", degree_of_damage=120.0,
-            compromised_fraction=0.1,
-        ) == explicit.attacked_scores_key(
-            "diff", "dec_bounded", degree_of_damage=120.0,
-            compromised_fraction=0.1,
-        )
+        points = SweepRunner.grid(["diff"], ["dec_bounded"], [120.0], [0.1])
+        assert reference.sweep().keys(points) == explicit.sweep().keys(points)
 
     def test_warm_sweep_from_pre_backend_cache_fully_hits(
         self, tiny_config, tmp_path
@@ -207,13 +203,8 @@ class TestCacheAliasing:
             "dtype": "float64",
         }
         reference = LadSession(tiny_config)
-        assert session.attacked_scores_key(
-            "diff", "dec_bounded", degree_of_damage=120.0,
-            compromised_fraction=0.1,
-        ) != reference.attacked_scores_key(
-            "diff", "dec_bounded", degree_of_damage=120.0,
-            compromised_fraction=0.1,
-        )
+        points = SweepRunner.grid(["diff"], ["dec_bounded"], [120.0], [0.1])
+        assert session.sweep().keys(points) != reference.sweep().keys(points)
 
     def test_non_exact_backend_never_reads_reference_scores(
         self, tiny_config, tmp_path, shadow_backend

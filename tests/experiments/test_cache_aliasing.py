@@ -23,6 +23,7 @@ from repro.experiments.config import SimulationConfig
 from repro.experiments.scenario import ScenarioSpec
 from repro.experiments.session import LadSession
 from repro.experiments.store import ArtifactStore, fingerprint_key
+from repro.experiments.sweep import SweepPoint
 from repro.localization.beacons import BeaconSpec
 
 
@@ -41,9 +42,8 @@ def tiny_config():
 
 
 def _attacked_key(session):
-    return session.attacked_scores_key(
-        "diff", "dec_bounded", degree_of_damage=120.0, compromised_fraction=0.1
-    )
+    (key,) = session.sweep().keys([SweepPoint("diff", "dec_bounded", 120.0, 0.1)])
+    return key
 
 
 def _benign_key(session, metric="diff"):
@@ -256,7 +256,7 @@ _AUDIT_CONFIG = SimulationConfig(
 )
 
 #: The audited point (diff, dec_bounded, D = 80, x = 0.1) and its timeline.
-_AUDIT_POINT = {"degree_of_damage": 80.0, "compromised_fraction": 0.1}
+_AUDIT_POINT = SweepPoint("diff", "dec_bounded", 80.0, 0.1)
 _AUDIT_TIMELINE = TimelineSpec(
     epochs=3, events=(EventSpec(kind="attack", action="on", at=(1.0,)),)
 )
@@ -291,17 +291,13 @@ def _audit_keys(config, *, localizer="beaconless", timeline=_AUDIT_TIMELINE):
     return _session_keys(LadSession(config, localizer=localizer), timeline)
 
 
-def _session_keys(session, timeline):
+def _session_keys(session, timeline, point=_AUDIT_POINT):
     """The four store keys the audit tracks, for one session."""
     return {
         "benign": session.benign_scores_key("diff"),
         "victims": fingerprint_key(session.victims_fingerprint()),
-        "attacked": session.attacked_scores_key(
-            "diff", "dec_bounded", **_AUDIT_POINT
-        ),
-        "temporal": session.temporal_key(
-            "diff", "dec_bounded", timeline=timeline, **_AUDIT_POINT
-        ),
+        "attacked": session.sweep().keys([point])[0],
+        "temporal": session.temporal(timeline).keys([point])[0],
     }
 
 
@@ -350,6 +346,16 @@ _SPEC_FIELD_TABLE = {
     "false_positive_rate": (0.05, [set()]),
     "timeline": (_LATER_TIMELINE, [{"temporal"}]),
     "config": (dataclasses.replace(_AUDIT_CONFIG, gz_omega=301), [_SCORED_KEYS]),
+}
+
+
+#: Every ``SweepPoint`` field: a changed value.  Each moves the attacked
+#: and temporal keys and the point's random stream, and nothing else.
+_POINT_FIELD_TABLE = {
+    "metric": "probability",
+    "attack": "dec_only",
+    "degree_of_damage": 81.0,
+    "compromised_fraction": 0.2,
 }
 
 
@@ -407,3 +413,31 @@ class TestFingerprintAudit:
         (before,) = _spec_keys(_AUDIT_SPEC)
         changed = dataclasses.replace(_AUDIT_SPEC, **{field: value})
         assert [_moved(before, after) for after in _spec_keys(changed)] == expected
+
+    def test_every_point_field_has_one_row(self):
+        fields = {field.name for field in dataclasses.fields(SweepPoint)}
+        assert fields == set(_POINT_FIELD_TABLE)
+
+    @pytest.mark.parametrize(
+        "field", [field.name for field in dataclasses.fields(SweepPoint)]
+    )
+    def test_point_field_changes_exactly_its_keys_and_stream(self, field):
+        session = LadSession(_AUDIT_CONFIG)
+        changed = dataclasses.replace(
+            _AUDIT_POINT, **{field: _POINT_FIELD_TABLE[field]}
+        )
+        before = _session_keys(session, _AUDIT_TIMELINE)
+        after = _session_keys(session, _AUDIT_TIMELINE, changed)
+        assert _moved(before, after) == {"attacked", "temporal"}
+        assert changed.stream_name() != _AUDIT_POINT.stream_name()
+
+    @pytest.mark.parametrize(
+        "field, spelling", [("metric", "DM"), ("attack", "Dec-Bounded")]
+    )
+    def test_respelled_point_moves_no_key_and_no_stream(self, field, spelling):
+        """A point's key, stream and shard read registered names only."""
+        session = LadSession(_AUDIT_CONFIG)
+        respelled = dataclasses.replace(_AUDIT_POINT, **{field: spelling})
+        before = _session_keys(session, _AUDIT_TIMELINE)
+        assert _session_keys(session, _AUDIT_TIMELINE, respelled) == before
+        assert respelled.stream_name() == _AUDIT_POINT.stream_name()

@@ -1,9 +1,15 @@
 """Tests for :mod:`repro.experiments.session`."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.attacks.constraints import DecBoundedAttack
+from repro.attacks.modality import RssiAmplificationAttack
+from repro.core.metrics import DiffMetric
 from repro.experiments.config import SimulationConfig
+from repro.experiments.scenario import ScenarioSpec
 from repro.experiments.session import LadSession
 from repro.localization.beacons import BeaconSpec
 
@@ -229,3 +235,102 @@ class TestBeaconSessions:
         config = SimulationConfig(group_size=40, region_size=500.0)
         session = LadSession(config, localizer="apit")
         assert session.localizer.region.x_max == 500.0
+
+
+#: tiny_sweep.toml's config and its D = 80 point.
+_TINY_SWEEP = ScenarioSpec.from_file(
+    Path(__file__).resolve().parents[2] / "examples" / "specs" / "tiny_sweep.toml"
+).config
+_D80 = {"degree_of_damage": 80.0, "compromised_fraction": 0.1}
+
+
+class _ScaledDiff(DiffMetric):
+    """An unregistered Diff variant that doubles every score."""
+
+    def compute(self, observations, expected, group_size=None):
+        return 2.0 * super().compute(observations, expected, group_size)
+
+
+class _LooseDecBounded(DecBoundedAttack):
+    """An unregistered subclass of a registered attack class."""
+
+
+#: Every session method that takes a metric, called with *metric*.
+_METRIC_METHODS = {
+    "attacked_scores": lambda s, m: s.attacked_scores(m, "dec_bounded", **_D80),
+    "attacked_claims": lambda s, m: s.attacked_claims(m, "dec_bounded", **_D80),
+    "roc": lambda s, m: s.roc(m, "dec_bounded", **_D80),
+    "outcome": lambda s, m: s.outcome(m, "dec_bounded", **_D80),
+    "benign_scores": lambda s, m: s.benign_scores(m),
+    "benign_scores_key": lambda s, m: s.benign_scores_key(m),
+    "threshold": lambda s, m: s.threshold(m),
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_sweep_session():
+    """A reference session on tiny_sweep's config, spelled canonically."""
+    return LadSession(_TINY_SWEEP)
+
+
+class TestRegisteredNames:
+    """A point keeps registered names: spellings alias, and an instance the
+    registry would not build under its name raises instead of being scored
+    (or cached) as that name."""
+
+    def test_attack_spellings_score_identically_cold(self, tiny_sweep_session):
+        respelled = LadSession(_TINY_SWEEP).attacked_scores(
+            "diff", "Dec-Bounded", **_D80
+        )
+        np.testing.assert_array_equal(
+            respelled,
+            tiny_sweep_session.attacked_scores("diff", "dec_bounded", **_D80),
+        )
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("Dec-Bounded", "dec_bounded"), ("dec_bounded", "Dec-Bounded")],
+    )
+    def test_attack_spellings_share_one_artifact(
+        self, tiny_sweep_session, tmp_path, first, second
+    ):
+        LadSession(_TINY_SWEEP, store=tmp_path).attacked_scores("diff", first, **_D80)
+        warm = LadSession(_TINY_SWEEP, store=tmp_path)
+        served = warm.attacked_scores("diff", second, **_D80)
+        assert warm.store.stats() == {"hits": 1, "misses": 0}
+        np.testing.assert_array_equal(
+            served,
+            tiny_sweep_session.attacked_scores("diff", "dec_bounded", **_D80),
+        )
+
+    @pytest.mark.parametrize("method", sorted(_METRIC_METHODS))
+    def test_unregistered_metric_instance_raises(self, method):
+        with pytest.raises(ValueError, match="register"):
+            _METRIC_METHODS[method](LadSession(_TINY_SWEEP), _ScaledDiff())
+
+    @pytest.mark.parametrize(
+        "attack",
+        [_LooseDecBounded(), RssiAmplificationAttack(gain_db=12.0)],
+        ids=["subclass", "configured"],
+    )
+    def test_unregistered_attack_instance_raises(self, attack):
+        """A point would score either with the registered defaults."""
+        session = LadSession(_TINY_SWEEP)
+        for read in (session.attacked_scores, session.outcome, session.roc):
+            with pytest.raises(ValueError, match="register"):
+                read("diff", attack, **_D80)
+
+    def test_stock_instances_equal_their_names(self, tiny_sweep_session):
+        session = LadSession(_TINY_SWEEP)
+        by_instance = session.outcome(DiffMetric(), DecBoundedAttack(), **_D80)
+        assert by_instance == tiny_sweep_session.outcome("diff", "dec_bounded", **_D80)
+        key = session.benign_scores_key(DiffMetric())
+        assert key == tiny_sweep_session.benign_scores_key("diff")
+
+    def test_rejected_instance_leaves_the_threshold_alone(self, tiny_sweep_session):
+        session = LadSession(_TINY_SWEEP)
+        with pytest.raises(ValueError):
+            session.outcome(_ScaledDiff(), "dec_bounded", **_D80)
+        assert session.threshold("diff") == tiny_sweep_session.threshold("diff")
+        expected = tiny_sweep_session.outcome("diff", "dec_bounded", **_D80)
+        assert session.outcome("diff", "dec_bounded", **_D80) == expected

@@ -111,7 +111,48 @@ class TestCrashResume:
         )
 
 
+def _read_point(session, method, point):
+    """One per-point session read (``attacked_scores``/``roc``/``outcome``)."""
+    return getattr(session, method)(
+        point.metric,
+        point.attack,
+        degree_of_damage=point.degree_of_damage,
+        compromised_fraction=point.compromised_fraction,
+    )
+
+
+_POINT_READS = ["attacked_scores", "roc", "outcome"]
+
+
 class TestPerPointCache:
+    @pytest.mark.parametrize("method", _POINT_READS)
+    def test_point_reads_hit_a_sweep_filled_store(self, tiny_spec, tmp_path, method):
+        points = tiny_spec.points()
+        filler = tiny_spec.session(store=ArtifactStore(tmp_path))
+        filler.sweep().detection_rates(points)
+        warm = tiny_spec.session(store=ArtifactStore(tmp_path))
+        for point in points:
+            _read_point(warm, method, point)
+        assert warm.store.misses == 0
+        assert warm.store.hit_counts["attacked_scores"] == len(points)
+
+    @pytest.mark.parametrize("method", _POINT_READS)
+    def test_point_reads_fill_the_store_a_sweep_reads(
+        self, tiny_spec, tmp_path, method
+    ):
+        points = tiny_spec.points()
+        cold = tiny_spec.session(store=ArtifactStore(tmp_path))
+        for done, point in enumerate(points, start=1):
+            _read_point(cold, method, point)
+            assert cold.store.miss_counts["attacked_scores"] == done
+            assert cold.sweep().progress(points).done == done
+        assert cold.store.hit_counts["attacked_scores"] == 0
+
+        warm = tiny_spec.session(store=ArtifactStore(tmp_path))
+        warm.sweep().attacked_scores(points)
+        assert warm.store.misses == 0
+        assert warm.store.hit_counts["attacked_scores"] == len(points)
+
     def test_single_point_entry_shares_the_sweep_cache(
         self, tiny_spec, tmp_path
     ):

@@ -38,7 +38,7 @@ _metric_names = st.lists(
     unique=True,
 )
 _attack_names = st.lists(
-    st.sampled_from(["dec_bounded", "dec_only", "random_bounded"]),
+    st.sampled_from(["dec_bounded", "dec_only", "rssi_amp"]),
     min_size=1,
     max_size=2,
     unique=True,

@@ -10,7 +10,6 @@ from repro.experiments.session import LadSession
 from repro.experiments.sweep import (
     SweepPoint,
     SweepRunner,
-    attack_stream_name,
     fan_out,
 )
 
@@ -42,9 +41,6 @@ class TestGrid:
 
     def test_stream_name_matches_harness_convention(self):
         point = SweepPoint("diff", "dec_only", 120.0, 0.25)
-        assert point.stream_name() == attack_stream_name(
-            "diff", "dec_only", 120.0, 0.25
-        )
         assert point.stream_name() == "attack/diff/dec_only/120/0.25"
 
 
